@@ -61,6 +61,7 @@ from .saturation import (
     Input,
     Limits,
     OccursCheckFailure,
+    Prover,
     Refutation,
     Resolution,
     ResourceOut,

@@ -19,9 +19,8 @@ from .clausal import Clause, clause_signature, clausify, equality_axioms, uses_e
 from .saturation import (
     Derivation,
     Limits,
+    Prover,
     Refutation,
-    Saturated,
-    _Saturation,
     check_derivation,
     format_derivation,
 )
@@ -29,7 +28,6 @@ from .models import (
     Interpretation,
     Model,
     ModelSearch,
-    NoModelUpTo,
     evaluate,
     find_model,
     format_interpretation,
@@ -108,10 +106,13 @@ def saturation_inputs(units: list[NamedFormula]) -> list[Clause]:
     introduced; missing those would make saturation's Saturated verdict
     unsound on equality problems.
     """
-    clauses = clausify(units)
+    return _with_equality(clausify(units), signature_of(u.formula for u in units))
+
+
+def _with_equality(clauses: list[Clause], signature: Signature) -> list[Clause]:
+    """The clauses plus, if they use equality, its axioms for every symbol."""
     if uses_equality(clauses):
-        sig = clause_signature(clauses, base=signature_of(u.formula for u in units))
-        clauses = clauses + equality_axioms(sig)
+        clauses = clauses + equality_axioms(clause_signature(clauses, base=signature))
     return clauses
 
 
@@ -123,9 +124,10 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     verified interpretation, so reports do not depend on timing.
     """
     start = time.monotonic()
-    clauses = saturation_inputs(units)
-    prover = _Saturation(clauses, limits)
     hunter = ModelSearch(units, max_size=max_size)
+    # the model finder's clauses are what saturation_inputs would build
+    clauses = _with_equality(hunter.clauses, hunter.signature)
+    prover = Prover(clauses, limits)
 
     def out_of_time() -> bool:
         limit = limits.max_seconds
@@ -142,7 +144,7 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     hunting = True
     while proving or hunting:
         if proving:
-            result = prover.advance(_SELECTION_SLICE)
+            result = prover.step(_SELECTION_SLICE)
             if isinstance(result, Refutation):
                 report = check_derivation(result.derivation, clauses)
                 if not report:

@@ -37,10 +37,6 @@ from .syntax import (
 EQ = "="  # reserved predicate name for equality literals
 
 
-def term_size(t: Term) -> int:
-    return t.size if type(t) is App else 1
-
-
 def _args_have_var(args: tuple[Term, ...]) -> bool:
     stack = list(args)
     while stack:
@@ -62,7 +58,7 @@ class Literal:
         object.__setattr__(self, "args", tuple(args))
         object.__setattr__(self, "has_var", _args_have_var(self.args))
         object.__setattr__(
-            self, "_weight", 1 + sum(term_size(a) for a in self.args)
+            self, "_weight", 1 + sum(a.size if type(a) is App else 1 for a in self.args)
         )
         object.__setattr__(
             self, "_hash", hash((self.positive, self.pred, self.args))
@@ -182,9 +178,6 @@ class Clause:
             out |= lit.variables()
         return out
 
-    def is_ground(self) -> bool:
-        return self.ground
-
     def weight(self) -> int:
         return self._weight
 
@@ -192,9 +185,6 @@ class Clause:
         if self.ground:
             return self
         return Clause((l.substitute(mapping) for l in self.literals), self.labels)
-
-    def with_labels(self, labels: Sequence[str]) -> "Clause":
-        return Clause(self.literals, tuple(labels))
 
     def __repr__(self):
         return f"Clause({clause_str(self)!r})"

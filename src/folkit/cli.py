@@ -28,7 +28,6 @@ from .models import (
     Interpretation,
     Model,
     NoModelUpTo,
-    evaluate,
     find_model,
     format_interpretation,
 )
@@ -88,11 +87,9 @@ def _load(config: RunConfig) -> Problem:
     return parse_tptp(text)
 
 
-def _exit_for(status: str) -> int:
-    return EXIT_DECISIVE if status in DECISIVE else EXIT_UNKNOWN
-
-
-def _write_artifacts(config: RunConfig, verdict: Verdict, signature: Signature) -> None:
+def _write_artifacts(
+    config: RunConfig, verdict: Verdict, signature: Signature | None = None
+) -> None:
     if config.proof_out and isinstance(verdict.witness, Derivation):
         Path(config.proof_out).write_text(
             format_derivation(verdict.witness), encoding="utf-8"
@@ -125,6 +122,11 @@ def _run_verdict(config: RunConfig, problem: Problem, out) -> int:
             axioms, conjecture.formula, limits, config.max_model_size
         )
         basis = conjecture_units(axioms, conjecture.formula)
+    return _report(config, verdict, basis, out)
+
+
+def _report(config: RunConfig, verdict: Verdict, basis, out) -> int:
+    """Print a verdict, check it against its units if asked, write artifacts."""
     signature = signature_of(u.formula for u in basis)
     out.write(format_verdict(verdict, signature))
     ok = True
@@ -132,28 +134,15 @@ def _run_verdict(config: RunConfig, problem: Problem, out) -> int:
         ok = verify_verdict(verdict, basis)
         out.write(_checked_line(ok))
     _write_artifacts(config, verdict, signature)
-    if not ok:
-        return EXIT_UNKNOWN
-    return _exit_for(verdict.status)
+    return EXIT_DECISIVE if ok and verdict.status in DECISIVE else EXIT_UNKNOWN
 
 
 def _run_model(config: RunConfig, problem: Problem, out) -> int:
     axioms = [u for u in problem.units if u.role != "conjecture"]
     result = find_model(axioms, config.max_model_size, config.limits())
-    signature = signature_of(u.formula for u in axioms)
     if isinstance(result, Model):
-        out.write("SZS status Satisfiable\n")
-        out.write(format_interpretation(result.interpretation, signature))
-        ok = True
-        if config.check:
-            ok = all(evaluate(result.interpretation, u.formula) for u in axioms)
-            out.write(_checked_line(ok))
-        if config.model_out:
-            text = "SZS status Satisfiable\n" + format_interpretation(
-                result.interpretation, signature
-            )
-            Path(config.model_out).write_text(text, encoding="utf-8")
-        return EXIT_UNKNOWN if not ok else EXIT_DECISIVE
+        verdict = Verdict("Satisfiable", result.interpretation, RunStats())
+        return _report(config, verdict, axioms, out)
     out.write("SZS status Unknown\n")
     if isinstance(result, NoModelUpTo):
         out.write(f"no model of size up to {result.size}\n")
@@ -172,21 +161,20 @@ def _run_mus(config: RunConfig, problem: Problem, out) -> int:
         return EXIT_UNKNOWN
     out.write("SZS status Unsatisfiable\n")
     out.write(format_mus_report(report))
+    refuted = Verdict("Unsatisfiable", report.refutation, RunStats())
     ok = True
     if config.check:
         core = [u for u in axioms if u.label in set(report.core)]
-        ok = verify_verdict(
-            Verdict("Unsatisfiable", report.refutation, RunStats()), core
-        ) and all(
+        ok = verify_verdict(refuted, core) and all(
             model is None
-            or all(evaluate(model, u.formula) for u in core if u.label != dropped)
+            or verify_verdict(
+                Verdict("Satisfiable", model, RunStats()),
+                [u for u in core if u.label != dropped],
+            )
             for dropped, model in report.deletions.items()
         )
         out.write(_checked_line(ok))
-    if config.proof_out:
-        Path(config.proof_out).write_text(
-            format_derivation(report.refutation), encoding="utf-8"
-        )
+    _write_artifacts(config, refuted)
     return EXIT_UNKNOWN if not ok else EXIT_DECISIVE
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 from .clausal import EQ, Clause, clausify
 from .sat import CdclSolver, PropClauseSet
-from .saturation import Limits
+from .saturation import Limits, ResourceOut
 from .syntax import App, Formula, Signature, Term, Var, signature_of
 from .syntax import (
     And,
@@ -324,11 +324,6 @@ class Model:
 @dataclass(frozen=True)
 class NoModelUpTo:
     size: int
-
-
-@dataclass(frozen=True)
-class ResourceOut:
-    reason: str
 
 
 ModelSearchResult = Union[Model, NoModelUpTo, ResourceOut]

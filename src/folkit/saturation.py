@@ -9,13 +9,13 @@ comes from the input clauses (symbol_precedence).  This calculus is
 refutationally complete: a saturated clause set without the empty
 clause is satisfiable.
 
-saturate() runs an Otter-style loop with forward subsumption and
-tautology deletion, which are redundancy eliminations the calculus
-tolerates, selecting clauses by weight with every fifth selection by
-age.  Refutations come with a Derivation whose steps are independently
-re-checkable by check_derivation(), which checks that each step is a
-sound resolution or factoring step and does not care which calculus
-chose it.
+Prover runs an Otter-style loop, resumable in slices, with forward
+subsumption and tautology deletion, which are redundancy eliminations
+the calculus tolerates, selecting clauses by weight with every fifth
+selection by age; saturate() runs it to the end.  Refutations come
+with a Derivation whose steps are independently re-checkable by
+check_derivation(), which checks that each step is a sound resolution
+or factoring step and does not care which calculus chose it.
 """
 
 from __future__ import annotations
@@ -144,27 +144,6 @@ def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> dict[str, Term] |
 # Matching (one-way) and subsumption
 # ---------------------------------------------------------------------------
 
-def _match_terms(pattern: Term, target: Term, s: dict[str, Term]) -> bool:
-    stack = [(pattern, target)]
-    while stack:
-        p, t = stack.pop()
-        if isinstance(p, Var):
-            bound = s.get(p.name)
-            if bound is None:
-                s[p.name] = t
-                continue
-            if bound != t:
-                return False
-            continue
-        if isinstance(t, Var):
-            return False
-        assert isinstance(p, App) and isinstance(t, App)
-        if p.op != t.op or len(p.args) != len(t.args):
-            return False
-        stack.extend(zip(p.args, t.args))
-    return True
-
-
 def _match_args(
     pargs: tuple[Term, ...],
     targs: tuple[Term, ...],
@@ -252,11 +231,20 @@ def resolve(c1: Clause, c2: Clause) -> list[tuple[Clause, tuple[int, int], Subst
             mgu = _unify_args(l1.args, l2.args)
             if mgu is None:
                 continue
-            lits = [l.substitute(mgu) for k, l in enumerate(c1.literals) if k != i]
-            lits += [l.substitute(mgu) for k, l in enumerate(c2.literals) if k != j]
-            labels = c1.labels + tuple(x for x in c2.labels if x not in c1.labels)
-            out.append((Clause(lits, labels), (i, j), Substitution(mgu)))
+            out.append((_resolvent(c1, i, c2, j, mgu), (i, j), Substitution(mgu)))
     return out
+
+
+def _resolvent(c1: Clause, i: int, c2: Clause, j: int, mgu: dict[str, Term]) -> Clause:
+    """c1 without literal i and c2 without literal j, both under mgu."""
+    if mgu:
+        lits = [l.substitute(mgu) for k, l in enumerate(c1.literals) if k != i]
+        lits += [l.substitute(mgu) for k, l in enumerate(c2.literals) if k != j]
+    else:
+        lits = [l for k, l in enumerate(c1.literals) if k != i]
+        lits += [l for k, l in enumerate(c2.literals) if k != j]
+    labels = c1.labels + tuple(x for x in c2.labels if x not in c1.labels)
+    return Clause(lits, labels)
 
 
 def factor(
@@ -335,7 +323,7 @@ class Saturated:
 
 @dataclass
 class ResourceOut:
-    reason: str  # 'clause-limit' | 'time-limit' | 'memory-limit'
+    reason: str  # 'clause-limit' | 'time-limit'
     generated: int = 0
 
 
@@ -661,32 +649,36 @@ class _SubsumptionIndex:
         return False
 
 
-class _Saturation:
-    def __init__(self, clauses: Iterable[Clause], limits: Limits):
-        self.limits = limits
+class Prover:
+    """Resumable given-clause search for a refutation of a clause set.
+
+    step() processes a bounded number of given clauses and returns None
+    while undecided, so callers can interleave saturation with other
+    work, as with models.ModelSearch.step.  Once a step returns a
+    result, every later step returns that same result.  Inputs are
+    renamed apart on intake.
+    """
+
+    def __init__(self, clauses: Iterable[Clause], limits: Limits | None = None):
+        self.limits = limits or Limits()
         self.start = time.monotonic()
         self.supply = VariableSupply()
         self.steps: dict[int, Step] = {}
         self.clauses: dict[int, Clause] = {}
-        self.processed: list[int] = []
         self.queue = _ClauseQueue()
         self.next_id = 1
         self.generated = 0
         self.selections = 0
-        self.taken_in = False
-        self.inputs = list(clauses)
-        self.precedence = symbol_precedence(self.inputs)
+        inputs = list(clauses)
+        self.precedence = symbol_precedence(inputs)
         self.subsumption = _SubsumptionIndex()
         # (sign, pred) -> [(clause id, literal index)] over processed clauses
         self.occurrences: dict[tuple[bool, str], list[tuple[int, int]]] = {}
+        self.result: SaturationResult | None = self._intake(inputs)
 
     def out_of_time(self) -> bool:
         limit = self.limits.max_seconds
         return limit is not None and time.monotonic() - self.start > limit
-
-    def over_clause_limit(self) -> bool:
-        limit = self.limits.max_clauses
-        return limit is not None and self.generated > limit
 
     def is_redundant(self, c: Clause) -> bool:
         # forward subsumption only, so every stored clause is still live
@@ -735,12 +727,9 @@ class _Saturation:
             out.append(Step(renumber[old], step.clause, rule))
         return Derivation(out)
 
-    def intake(self) -> SaturationResult | None:
+    def _intake(self, inputs: list[Clause]) -> SaturationResult | None:
         """Load the input clauses; reports a refutation if one is empty."""
-        if self.taken_in:
-            return None
-        self.taken_in = True
-        for c in self.inputs:
+        for c in inputs:
             label = ",".join(c.labels) if c.labels else "input"
             if c.is_empty():
                 step = self.keep(c, Input(label))
@@ -749,11 +738,17 @@ class _Saturation:
                 self.keep(c, Input(label))
         return None
 
-    def advance(self, max_selections: int | None = None) -> SaturationResult | None:
-        """Process up to max_selections given clauses; None means call again."""
-        early = self.intake()
-        if early is not None:
-            return early
+    def step(self, max_selections: int | None = None) -> SaturationResult | None:
+        """Process up to max_selections given clauses; None means call again.
+
+        Without a bound the search runs to a result and never returns None.
+        """
+        if self.result is None:
+            self.result = self._search(max_selections)
+        return self.result
+
+    def _search(self, max_selections: int | None) -> SaturationResult | None:
+        max_clauses = self.limits.max_clauses
         done = 0
         while self.queue:
             if self.out_of_time():
@@ -784,34 +779,14 @@ class _Saturation:
                     if lit_ground and not plit.has_var:
                         if lit.args != plit.args:
                             continue
-                        mgu: dict = {}
+                        mgu: dict | None = {}
                     else:
-                        found = _unify_args(lit.args, plit.args)
-                        if found is None:
+                        mgu = _unify_args(lit.args, plit.args)
+                        if mgu is None:
                             continue
-                        mgu = found
-                    if mgu:
-                        lits = [
-                            l.substitute(mgu)
-                            for k, l in enumerate(given.literals)
-                            if k != i
-                        ]
-                        lits += [
-                            l.substitute(mgu)
-                            for k, l in enumerate(partner.literals)
-                            if k != j
-                        ]
-                    else:
-                        lits = [l for k, l in enumerate(given.literals) if k != i]
-                        lits += [
-                            l for k, l in enumerate(partner.literals) if k != j
-                        ]
-                    labels = given.labels + tuple(
-                        x for x in partner.labels if x not in given.labels
-                    )
                     results.append(
                         (
-                            Clause(lits, labels),
+                            _resolvent(given, i, partner, j, mgu),
                             (False, (given_id, pid), (i, j), mgu),
                         )
                     )
@@ -819,7 +794,6 @@ class _Saturation:
                 for factored, (i, j), mgu in factor(given, eligible):
                     results.append((factored, (True, given_id, (i, j), mgu)))
 
-            self.processed.append(given_id)
             for i in eligible:
                 lit = given.literals[i]
                 self.occurrences.setdefault((lit.positive, lit.pred), []).append(
@@ -828,7 +802,7 @@ class _Saturation:
 
             for clause, payload in results:
                 self.generated += 1
-                if self.over_clause_limit():
+                if max_clauses is not None and self.generated > max_clauses:
                     return ResourceOut("clause-limit", self.generated)
                 if self.generated % 256 == 0 and self.out_of_time():
                     return ResourceOut("time-limit", self.generated)
@@ -844,16 +818,10 @@ class _Saturation:
                     return Refutation(self.extract(step.id), self.generated)
         return Saturated(self.generated)
 
-    def run(self) -> SaturationResult:
-        while True:
-            result = self.advance()
-            if result is not None:
-                return result
-
 
 def saturate(clauses: Iterable[Clause], limits: Limits | None = None) -> SaturationResult:
     """Saturate a clause set; inputs are renamed apart on intake."""
-    return _Saturation(clauses, limits or Limits()).run()
+    return Prover(clauses, limits).step()  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -868,11 +836,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _apply_mgu(c: Clause, mgu: Substitution) -> list[Literal]:
-    mapping = dict(mgu.bindings)
-    return [l.substitute(mapping) for l in c.literals]
 
 
 def check_derivation(d: Derivation, inputs: Iterable[Clause]) -> CheckResult:
@@ -937,7 +900,7 @@ def check_derivation(d: Derivation, inputs: Iterable[Clause]) -> CheckResult:
                 return CheckResult(
                     False, step.id, "recorded substitution does not unify the pair"
                 )
-            rebuilt = Clause(_apply_mgu(c, rule.mgu))
+            rebuilt = Clause(l.substitute(mapping) for l in c.literals)
             if not _variant_map(rebuilt, step.clause):
                 return CheckResult(
                     False, step.id, "recorded clause is not the derived factor"

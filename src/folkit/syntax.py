@@ -85,11 +85,6 @@ class App(Term):
         return f"App({self.op!r}, {self.args!r})"
 
 
-def const(name: str) -> App:
-    """Shorthand for a constant (0-ary application)."""
-    return App(name, ())
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
@@ -349,9 +344,6 @@ class Substitution(Mapping):
         return not (range_vars & self.bindings.keys())
 
 
-EMPTY_SUBSTITUTION = Substitution()
-
-
 def apply_to_term(s: Mapping[str, Term], t: Term) -> Term:
     """Simultaneous replacement: each variable is replaced exactly once."""
     if isinstance(t, Var):
@@ -363,51 +355,6 @@ def apply_to_term(s: Mapping[str, Term], t: Term) -> Term:
     if new_args == t.args:
         return t
     return App(t.op, new_args)
-
-
-def _fresh_name(base: str, avoid: set[str]) -> str:
-    i = 0
-    while f"{base}_{i}" in avoid:
-        i += 1
-    return f"{base}_{i}"
-
-
-def apply_to_formula(s: Mapping[str, Term], f: Formula) -> Formula:
-    """Capture-avoiding substitution on formulas.
-
-    Bound variables are renamed on the fly whenever they would capture
-    a variable free in the range of s.
-    """
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(apply_to_term(s, a) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(apply_to_term(s, f.lhs), apply_to_term(s, f.rhs))
-    if isinstance(f, Not):
-        return Not(apply_to_formula(s, f.sub))
-    if isinstance(f, BINARY):
-        return type(f)(apply_to_formula(s, f.lhs), apply_to_formula(s, f.rhs))
-    if isinstance(f, QUANTIFIERS):
-        inner = {v: t for v, t in s.items() if v != f.var}
-        if not inner:
-            return f
-        range_vars: set[str] = set()
-        for t in inner.values():
-            range_vars |= term_variables(t)
-        if f.var in range_vars:
-            avoid = range_vars | free_variables(f.body) | set(inner)
-            fresh = _fresh_name(f.var, avoid)
-            inner[f.var] = Var(fresh)
-            return type(f)(fresh, apply_to_formula(inner, f.body))
-        return type(f)(f.var, apply_to_formula(inner, f.body))
-    return f
-
-
-def apply_substitution(s, x):
-    """Apply substitution s to a Term or a Formula."""
-    mapping = s.bindings if isinstance(s, Substitution) else s
-    if isinstance(x, Term):
-        return apply_to_term(mapping, x)
-    return apply_to_formula(mapping, x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ output always uses the `$` forms.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .syntax import (
+    BINARY,
+    QUANTIFIERS,
     And,
     App,
     Atom,
@@ -38,6 +41,10 @@ from .syntax import (
 )
 
 ROLES = ("axiom", "conjecture")
+
+# deepest formula and term nesting accepted; the recursive passes after
+# parsing (clausification, evaluation) then stay within Python's stack
+MAX_NESTING = 200
 
 
 class ParseError(Exception):
@@ -67,9 +74,6 @@ class FreeVariableError(Exception):
 
 class ArityError(Exception):
     """A symbol is used at inconsistent arities or in both namespaces."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,41 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _nesting(f: Formula) -> int:
+    """Levels below the top of f, counting formula and term nodes alike."""
+    deepest = 0
+    stack: list[tuple[object, int]] = [(f, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, Not):
+            below: tuple = (node.sub,)
+        elif isinstance(node, (*BINARY, Equal)):
+            below = (node.lhs, node.rhs)
+        elif isinstance(node, QUANTIFIERS):
+            below = (node.body,)
+        else:  # atoms and terms; only applications have arguments
+            below = getattr(node, "args", ())
+        stack.extend((b, level + 1) for b in below)
+    return deepest
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open `~`, quantifiers, parentheses and argument lists
+
+    @contextmanager
+    def nested(self, tok: _Token, levels: int = 1):
+        """Parse levels deeper below tok; past MAX_NESTING that is an error."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+        yield
+        self.depth -= levels
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -251,7 +286,7 @@ class _Parser:
                 raise self.error("role 'axiom' or 'conjecture'", role_tok)
             role = self.next().value
             self.expect(",")
-            formula = self.parse_formula()
+            formula = self.parse_whole_formula()
             self.expect(")")
             self.expect(".")
             if label in labels:
@@ -274,6 +309,13 @@ class _Parser:
         return problem
 
     # -- formulas -----------------------------------------------------------
+
+    def parse_whole_formula(self) -> Formula:
+        """A formula whose tree, connective chains included, is within bounds."""
+        tok = self.peek()
+        formula = self.parse_formula()
+        with self.nested(tok, _nesting(formula)):
+            return formula
 
     def parse_formula(self) -> Formula:
         lhs = self.parse_implication()
@@ -338,19 +380,28 @@ class _Parser:
                 break
             self.expect("]")
             self.expect(":")
-            body = self.parse_formula()  # quantifiers reach maximally right
+            with self.nested(tok):
+                body = self.parse_formula()  # quantifiers reach maximally right
             ctor = Forall if tok.value == "!" else Exists
             for name in reversed(names):
                 body = ctor(name, body)
             return body
         if tok.value == "~":
             self.next()
-            return Not(self.parse_unitary())
+            with self.nested(tok):
+                return Not(self.parse_unitary())
         if tok.value == "(":
             self.next()
-            inner = self.parse_formula()
+            with self.nested(tok):
+                inner = self.parse_formula()
             self.expect(")")
-            return self.maybe_equality(inner, parenthesized=True)
+            # '(f(X)) = c' is not supported: parenthesized terms stay formulas
+            tok = self.peek()
+            if tok.value in ("=", "!="):
+                raise ParseError(
+                    "equality operands must be unparenthesized terms", tok.line, tok.col
+                )
+            return inner
         if tok.kind == "dollar":
             if tok.value == "$true":
                 self.next()
@@ -374,15 +425,6 @@ class _Parser:
             term = self.parse_term()
             return self.finish_atomic(term, tok)
         raise self.error("a formula")
-
-    def maybe_equality(self, inner: Formula, parenthesized: bool) -> Formula:
-        # '(f(X)) = c' is not supported: parenthesized terms stay formulas
-        tok = self.peek()
-        if parenthesized and tok.value in ("=", "!="):
-            raise ParseError(
-                "equality operands must be unparenthesized terms", tok.line, tok.col
-            )
-        return inner
 
     def finish_atomic(self, term: Term, start: _Token) -> Formula:
         tok = self.peek()
@@ -419,12 +461,13 @@ class _Parser:
         args: list[Term] = []
         if self.peek().value == "(":
             self.next()
-            while True:
-                args.append(self.parse_term())
-                if self.peek().value == ",":
-                    self.next()
-                    continue
-                break
+            with self.nested(tok):
+                while True:
+                    args.append(self.parse_term())
+                    if self.peek().value == ",":
+                        self.next()
+                        continue
+                    break
             self.expect(")")
         return App(tok.value, tuple(args))
 
@@ -437,7 +480,7 @@ def parse_tptp(text: str) -> Problem:
 def parse_fof_formula(text: str) -> Formula:
     """Parse a bare formula (no fof wrapper); must consume all input."""
     parser = _Parser(text)
-    formula = parser.parse_formula()
+    formula = parser.parse_whole_formula()
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.error("end of input", tok)

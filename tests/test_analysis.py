@@ -2,6 +2,7 @@
 
 import pytest
 
+from folkit import analysis, clausal, models
 from folkit.syntax import And, Atom, Forall, Implies, Not, Var
 from folkit.tptp import parse_tptp
 from folkit.models import Interpretation, evaluate
@@ -26,6 +27,29 @@ from folkit.analysis import (
 
 def units_of(text: str):
     return parse_tptp(text).units
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("fof(a, axiom, c = d).\nfof(b, axiom, p(c)).\nfof(n, axiom, ~p(d)).", "Unsatisfiable"),
+        ("fof(a, axiom, f(c) = d).\nfof(b, axiom, p(d)).", "Satisfiable"),
+    ],
+)
+def test_a_decision_clausifies_its_units_once(monkeypatch, text, status):
+    calls = []
+
+    def counting(units):
+        calls.append(units)
+        return clausal.clausify(units)
+
+    monkeypatch.setattr(analysis, "clausify", counting)
+    monkeypatch.setattr(models, "clausify", counting)
+    units = units_of(text)
+    verdict = check_consistency(units)
+    assert verdict.status == status
+    assert len(calls) == 1
+    assert verify_verdict(verdict, units)  # the witness checks against fresh inputs
 
 
 # -- verdict invariants ---------------------------------------------------------

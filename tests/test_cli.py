@@ -13,6 +13,7 @@ from folkit.cli import (
     main,
     run,
 )
+from folkit.tptp import MAX_NESTING
 from conftest import DATA_DIR
 
 FIGURE1 = str(DATA_DIR / "figure1.p")
@@ -175,10 +176,27 @@ def test_proof_artifact_written(tmp_path):
 def test_model_artifact_written(tmp_path):
     target = tmp_path / "model.txt"
     path = write_problem(tmp_path, "fof(a, axiom, p(c)).")
-    code, _ = run_text(RunConfig("model", path=path, model_out=str(target)))
+    code, text = run_text(RunConfig("model", path=path, model_out=str(target)))
     assert code == EXIT_DECISIVE
     saved = target.read_text()
     assert saved.startswith("SZS status Satisfiable\ndomain size 1\n")
+    assert saved == text
+
+
+def test_mus_proof_artifact_written(tmp_path):
+    proof = tmp_path / "core.txt"
+    path = write_problem(
+        tmp_path,
+        "fof(p1, axiom, p).\nfof(p2, axiom, ~p).\nfof(q1, axiom, q).",
+    )
+    model = tmp_path / "model.txt"
+    config = RunConfig("mus", path=path, proof_out=str(proof), model_out=str(model))
+    code, _ = run_text(config)
+    assert code == EXIT_DECISIVE
+    saved = proof.read_text()
+    assert saved.splitlines()[-1].startswith("0. $false")
+    assert "[input p1]" in saved and "[input p2]" in saved and "q1" not in saved
+    assert not model.exists()  # a core comes with a refutation, not a model
 
 
 def test_countermodel_artifact_from_prove(tmp_path):
@@ -204,6 +222,40 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
     path = write_problem(tmp_path, "fof(a, axiom, p & | q).")
     assert run(RunConfig("prove", path=path)) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def _nested(depth):
+    """Units nested exactly depth levels: formulas under `~`, a term under f."""
+    term = "f(" * (depth - 1) + "a" + ")" * (depth - 1)
+    negated = "~" * depth + "p"
+    return (
+        f"fof(n, axiom, {negated}).\nfof(t, axiom, q({term})).\n"
+        f"fof(c, conjecture, {negated}).\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["consistency", "model", "prove"])
+def test_input_nested_up_to_the_bound_decides(tmp_path, command):
+    path = write_problem(tmp_path, _nested(MAX_NESTING))
+    assert run_text(RunConfig(command, path=path, check=True))[0] == EXIT_DECISIVE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fof(n, axiom, " + "~" * (MAX_NESTING + 1) + "p).",
+        "fof(t, axiom, q(" + "f(" * MAX_NESTING + "a" + ")" * MAX_NESTING + ")).",
+        "fof(c, axiom, " + " & ".join(["p"] * (MAX_NESTING + 2)) + ").",
+        "fof(d, axiom, " + "~" * 3000 + "p).",
+    ],
+    ids=["formula", "term", "chain", "deep"],
+)
+def test_input_nested_past_the_bound_exits_two(tmp_path, capsys, text):
+    path = write_problem(tmp_path, text)
+    assert run(RunConfig("consistency", path=path)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, column ")
+    assert f"deeper than {MAX_NESTING} levels" in err
 
 
 def test_unknown_asylum_label_is_an_input_error(capsys):

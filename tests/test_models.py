@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import folkit
 from folkit.syntax import (
     App,
     Atom,
@@ -181,6 +182,13 @@ def test_find_model_result_satisfies_every_unit(hypotheses):
 
 def test_refuted_subset_has_no_small_model(reduced_six):
     assert find_model(reduced_six, max_size=4) == NoModelUpTo(4)
+
+
+def test_find_model_time_limit_is_the_shared_resource_out(reduced_six):
+    result = find_model(reduced_six, limits=folkit.Limits(max_seconds=0.0))
+    assert isinstance(result, folkit.ResourceOut)
+    assert result.reason == "time-limit"
+    assert folkit.models.ResourceOut is folkit.saturation.ResourceOut
 
 
 def test_model_search_can_be_interleaved(reduced_six):

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from folkit.syntax import App, Var
 from folkit.clausal import Clause, Literal, clause_str, clausify
 from folkit.saturation import (
@@ -12,6 +14,7 @@ from folkit.saturation import (
     Limits,
     Mgu,
     OccursCheckFailure,
+    Prover,
     Refutation,
     ResourceOut,
     Saturated,
@@ -263,6 +266,20 @@ def test_saturate_respects_time_limit(reduced_six):
     result = saturate(clauses, Limits(max_clauses=None, max_seconds=0.0))
     assert isinstance(result, ResourceOut)
     assert result.reason == "time-limit"
+
+
+@pytest.mark.parametrize("slice_size", [1, 50])
+def test_prover_steps_in_slices_match_saturate(reduced_six, slice_size):
+    clauses = clausify(reduced_six)
+    whole = saturate(clauses)
+    prover = Prover(clauses)
+    result = prover.step(slice_size)
+    while result is None:
+        result = prover.step(slice_size)
+    assert isinstance(result, Refutation)
+    assert result.generated == whole.generated
+    assert format_derivation(result.derivation) == format_derivation(whole.derivation)
+    assert prover.step(slice_size) is result  # a finished search stays finished
 
 
 def test_saturate_is_deterministic(hypotheses):
