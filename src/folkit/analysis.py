@@ -124,7 +124,7 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     verified interpretation, so reports do not depend on timing.
     """
     start = time.monotonic()
-    hunter = ModelSearch(units, max_size=max_size)
+    hunter = ModelSearch(units, max_size=max_size, limits=limits)
     # the model finder's clauses are what saturation_inputs would build
     clauses = _with_equality(hunter.clauses, hunter.signature)
     prover = Prover(clauses, limits)

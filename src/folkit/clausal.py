@@ -132,21 +132,30 @@ class Clause:
     provenance labels.
     """
 
-    __slots__ = ("literals", "labels", "lit_set", "ground", "_hash", "_weight")
+    __slots__ = ("literals", "labels", "lit_set", "ground", "_weight")
 
     def __init__(self, literals: Iterable[Literal], labels: Sequence[str] = ()):
-        seen: set[Literal] = set()
-        kept: list[Literal] = []
-        for lit in literals:
-            if lit not in seen:
-                seen.add(lit)
-                kept.append(lit)
-        object.__setattr__(self, "literals", tuple(kept))
+        lits = tuple(literals)
+        lit_set = frozenset(lits)
+        if len(lit_set) < len(lits):
+            seen: set[Literal] = set()
+            kept: list[Literal] = []
+            for lit in lits:
+                if lit not in seen:
+                    seen.add(lit)
+                    kept.append(lit)
+            lits = tuple(kept)
+        ground = True
+        weight = 0
+        for lit in lits:
+            weight += lit._weight
+            if lit.has_var:
+                ground = False
+        object.__setattr__(self, "literals", lits)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "lit_set", frozenset(kept))
-        object.__setattr__(self, "ground", not any(l.has_var for l in kept))
-        object.__setattr__(self, "_hash", hash(self.literals))
-        object.__setattr__(self, "_weight", sum(l._weight for l in kept))
+        object.__setattr__(self, "lit_set", lit_set)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "_weight", weight)
 
     def __setattr__(self, key, value):
         raise AttributeError("Clause is immutable")
@@ -155,7 +164,7 @@ class Clause:
         return type(other) is Clause and self.literals == other.literals
 
     def __hash__(self):
-        return self._hash
+        return hash(self.literals)
 
     def __len__(self):
         return len(self.literals)
@@ -164,11 +173,11 @@ class Clause:
         return not self.literals
 
     def is_tautology(self) -> bool:
-        keys = {(l.positive, l.pred, l.args) for l in self.literals}
-        for positive, pred, args in keys:
-            if positive and pred == EQ and args[0] == args[1]:
+        signs: dict[tuple, bool] = {}
+        for lit in self.literals:
+            if lit.positive and lit.pred == EQ and lit.args[0] == lit.args[1]:
                 return True
-            if (not positive, pred, args) in keys:
+            if signs.setdefault((lit.pred, lit.args), lit.positive) != lit.positive:
                 return True
         return False
 

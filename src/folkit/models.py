@@ -204,12 +204,16 @@ def ground(
     clauses: Iterable[Clause],
     n: int,
     signature: Signature | None = None,
+    deadline: float | None = None,
 ) -> tuple[PropClauseSet, GroundTable]:
     """Propositional encoding satisfiable iff the clauses have a size-n model.
 
     Every function cell gets exactly-one constraints up front, and the
     first 0-ary function in signature order is pinned to element 0 to
-    break symmetry (models are closed under domain relabeling).
+    break symmetry (models are closed under domain relabeling).  A clause
+    with k variables takes n^k assignments.  Past deadline, a value of
+    time.monotonic(), grounding raises TimeoutError; it reads the clock
+    once per 1,024 assignments.
     """
     if n < 1:
         raise ValueError("domain size must be at least 1")
@@ -247,9 +251,17 @@ def ground(
             atom_vars[(pred, args)] = var
         return var
 
+    assignments = 0
     for clause in clauses:
         flat, reqs, names = _flatten_clause(clause)
         for values in product(range(n), repeat=len(names)):
+            assignments += 1
+            if (
+                assignments & 1023 == 0
+                and deadline is not None
+                and time.monotonic() > deadline
+            ):
+                raise TimeoutError(f"grounding at size {n} ran past its deadline")
             env = dict(zip(names, values))
             lits: list[int] = []
             satisfied = False
@@ -335,11 +347,20 @@ class ModelSearch:
     step() runs a bounded number of solver conflicts and returns None
     while undecided, so callers can interleave model search with other
     work.  Verdicts are deterministic and come from the smallest size.
+    A grounding that runs past the time limit, counted from construction,
+    ends the search as ResourceOut("time-limit").
     """
 
-    def __init__(self, units: Iterable[NamedFormula], max_size: int = 8):
+    def __init__(
+        self,
+        units: Iterable[NamedFormula],
+        max_size: int = 8,
+        limits: Limits | None = None,
+    ):
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
+        max_seconds = limits.max_seconds if limits is not None else None
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
         self.units = list(units)
         self.max_size = max_size
         self.signature = signature_of(u.formula for u in self.units)
@@ -350,24 +371,31 @@ class ModelSearch:
         self.sizes_tried: list[int] = []
         self.done: ModelSearchResult | None = None
 
-    def _next_size(self) -> bool:
+    def _next_size(self) -> ModelSearchResult | None:
+        """Ground the next size for the solver; a result if the search ends."""
         if self.size >= self.max_size:
-            return False
+            return NoModelUpTo(self.max_size)
         self.size += 1
         self.sizes_tried.append(self.size)
-        problem, self.table = ground(self.clauses, self.size, self.signature)
+        try:
+            problem, self.table = ground(
+                self.clauses, self.size, self.signature, deadline=self.deadline
+            )
+        except TimeoutError:
+            return ResourceOut("time-limit")
         solver = CdclSolver(problem.n)
         for clause in problem.clauses:
             solver.add_clause(clause)
         self.solver = solver
-        return True
+        return None
 
     def step(self, max_conflicts: int = 2000) -> ModelSearchResult | None:
         if self.done is not None:
             return self.done
-        if self.solver is None and not self._next_size():
-            self.done = NoModelUpTo(self.max_size)
-            return self.done
+        if self.solver is None:
+            self.done = self._next_size()
+            if self.done is not None:
+                return self.done
         assert self.solver is not None
         verdict = self.solver.solve(max_conflicts=max_conflicts)
         if verdict is None:
@@ -382,10 +410,8 @@ class ModelSearch:
             self.done = Model(interp)
             return self.done
         self.solver = None
-        if not self._next_size():
-            self.done = NoModelUpTo(self.max_size)
-            return self.done
-        return None
+        self.done = self._next_size()
+        return self.done
 
 
 def find_model(
@@ -394,14 +420,12 @@ def find_model(
     limits: "Limits | None" = None,
 ) -> ModelSearchResult:
     """Search sizes 1..max_size for a model of the units."""
-    search = ModelSearch(units, max_size)
-    max_seconds = limits.max_seconds if limits is not None else None
-    start = time.monotonic()
+    search = ModelSearch(units, max_size, limits)
     while True:
         result = search.step(max_conflicts=4000)
         if result is not None:
             return result
-        if max_seconds is not None and time.monotonic() - start > max_seconds:
+        if search.deadline is not None and time.monotonic() > search.deadline:
             return ResourceOut("time-limit")
 
 

@@ -33,7 +33,7 @@ from .clausal import (
     clause_str,
     rename_clause,
 )
-from .syntax import App, Substitution, Term, Var, term_variables
+from .syntax import App, Substitution, Term, Var, apply_to_term, term_variables
 
 # ---------------------------------------------------------------------------
 # Unification
@@ -115,7 +115,7 @@ def _resolve_term(t: Term, s: dict[str, Term]) -> Term:
 
 
 def _solved_form(s: dict[str, Term]) -> dict[str, Term]:
-    return {v: _resolve_term(Var(v), s) for v in s}
+    return {v: _resolve_term(t, s) for v, t in s.items()}
 
 
 def unify(a: Term, b: Term) -> UnificationResult:
@@ -169,24 +169,55 @@ def _match_args(
     return True
 
 
+def _args_mgu(l1: Literal, l2: Literal) -> dict[str, Term] | None:
+    """Solved mgu of the two literals' argument tuples, or None.
+
+    When one side is ground, one-way matching of the other side onto it
+    finds the same unifier as _unify_args: no occurs check can fail and
+    every binding is already a ground term.
+    """
+    if not l2.has_var:
+        if not l1.has_var:
+            return {} if l1.args == l2.args else None
+        pattern, target = l1.args, l2.args
+    elif not l1.has_var:
+        pattern, target = l2.args, l1.args
+    else:
+        return _unify_args(l1.args, l2.args)
+    bindings: dict[str, Term] = {}
+    if len(pattern) == len(target) and _match_args(pattern, target, bindings, []):
+        return bindings
+    return None
+
+
+def _grouped(lits: tuple[Literal, ...]) -> dict[tuple[bool, str], list[tuple[int, Literal]]]:
+    """Positions and literals keyed by (sign, predicate), in clause order."""
+    groups: dict[tuple[bool, str], list[tuple[int, Literal]]] = {}
+    for j, lit in enumerate(lits):
+        groups.setdefault((lit.positive, lit.pred), []).append((j, lit))
+    return groups
+
+
 def _embed(
     c_lits: tuple[Literal, ...],
-    d_lits: tuple[Literal, ...],
+    d_groups: dict[tuple[bool, str], list[tuple[int, Literal]]],
     used: int,
     bindings: dict[str, Term],
     trail: list[str],
 ) -> bool:
-    """Backtracking injective matcher mapping c_lits into unused d_lits."""
+    """Backtracking injective matcher mapping c_lits into unused literals of d.
+
+    d_groups is _grouped(d.literals), so a caller matching many clauses
+    into one d builds it once.
+    """
     n = len(c_lits)
 
     def extend(i: int, used: int) -> bool:
         if i == n:
             return True
         lit = c_lits[i]
-        for j, cand in enumerate(d_lits):
+        for j, cand in d_groups.get((lit.positive, lit.pred), ()):
             if used & (1 << j):
-                continue
-            if cand.positive != lit.positive or cand.pred != lit.pred:
                 continue
             mark = len(trail)
             if _match_args(lit.args, cand.args, bindings, trail):
@@ -210,7 +241,7 @@ def subsumes(c: Clause, d: Clause) -> bool:
         return False
     if c.ground:
         return c.lit_set <= d.lit_set
-    return _embed(c.literals, d.literals, 0, {}, [])
+    return _embed(c.literals, _grouped(d.literals), 0, {}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +259,37 @@ def resolve(c1: Clause, c2: Clause) -> list[tuple[Clause, tuple[int, int], Subst
         for j, l2 in enumerate(c2.literals):
             if l1.positive == l2.positive or l1.pred != l2.pred:
                 continue
-            mgu = _unify_args(l1.args, l2.args)
+            mgu = _args_mgu(l1, l2)
             if mgu is None:
                 continue
-            out.append((_resolvent(c1, i, c2, j, mgu), (i, j), Substitution(mgu)))
+            out.append((_resolvent(c1, i, c2, j, mgu, {}), (i, j), Substitution(mgu)))
     return out
 
 
-def _resolvent(c1: Clause, i: int, c2: Clause, j: int, mgu: dict[str, Term]) -> Clause:
-    """c1 without literal i and c2 without literal j, both under mgu."""
+def _instance(lit: Literal, mgu: dict[str, Term], table: dict[tuple, Literal]) -> Literal:
+    """lit under mgu, made once per (sign, predicate, args) in table."""
+    if not lit.has_var:
+        return lit
+    args = tuple([apply_to_term(mgu, a) for a in lit.args])
+    key = (lit.positive, lit.pred, args)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = Literal(lit.positive, lit.pred, args)
+    return out
+
+
+def _resolvent(
+    c1: Clause, i: int, c2: Clause, j: int, mgu: dict[str, Term], table: dict[tuple, Literal]
+) -> Clause:
+    """c1 without literal i and c2 without literal j, both under mgu.
+
+    Instantiated literals are interned in table, so that a literal built
+    again is the same object and set lookups compare it by identity.
+    """
+    lits = [l for k, l in enumerate(c1.literals) if k != i]
+    lits += [l for k, l in enumerate(c2.literals) if k != j]
     if mgu:
-        lits = [l.substitute(mgu) for k, l in enumerate(c1.literals) if k != i]
-        lits += [l.substitute(mgu) for k, l in enumerate(c2.literals) if k != j]
-    else:
-        lits = [l for k, l in enumerate(c1.literals) if k != i]
-        lits += [l for k, l in enumerate(c2.literals) if k != j]
+        lits = [_instance(l, mgu, table) for l in lits]
     labels = c1.labels + tuple(x for x in c2.labels if x not in c1.labels)
     return Clause(lits, labels)
 
@@ -262,7 +309,7 @@ def factor(
             l1, l2 = c.literals[i], c.literals[j]
             if l1.positive != l2.positive or l1.pred != l2.pred:
                 continue
-            mgu = _unify_args(l1.args, l2.args)
+            mgu = _args_mgu(l1, l2)
             if mgu is None:
                 continue
             out.append((c.substitute(mgu), (i, j), Substitution(mgu)))
@@ -626,6 +673,7 @@ class _SubsumptionIndex:
         dweight = d.weight()
         dlifted = dpacked | self.high_all
         d_lits = d.literals
+        d_groups = None
         for mask, (lens, entries) in self.mask_buckets.items():
             if mask & ~dmask:
                 continue
@@ -644,7 +692,9 @@ class _SubsumptionIndex:
                     for j, dl in enumerate(d_lits):
                         if dl in ground_part:
                             used |= 1 << j
-                if _embed(var_part, d_lits, used, {}, []):
+                if d_groups is None:
+                    d_groups = _grouped(d_lits)
+                if _embed(var_part, d_groups, used, {}, []):
                     return True
         return False
 
@@ -674,6 +724,8 @@ class Prover:
         self.subsumption = _SubsumptionIndex()
         # (sign, pred) -> [(clause id, literal index)] over processed clauses
         self.occurrences: dict[tuple[bool, str], list[tuple[int, int]]] = {}
+        # literals built by resolvents, by (sign, predicate, args)
+        self.literal_table: dict[tuple, Literal] = {}
         self.result: SaturationResult | None = self._intake(inputs)
 
     def out_of_time(self) -> bool:
@@ -772,21 +824,14 @@ class Prover:
             results: list[tuple[Clause, tuple]] = []
             for i in eligible:
                 lit = given.literals[i]
-                lit_ground = not lit.has_var
                 for pid, j in self.occurrences.get((not lit.positive, lit.pred), ()):
                     partner = self.clauses[pid]
-                    plit = partner.literals[j]
-                    if lit_ground and not plit.has_var:
-                        if lit.args != plit.args:
-                            continue
-                        mgu: dict | None = {}
-                    else:
-                        mgu = _unify_args(lit.args, plit.args)
-                        if mgu is None:
-                            continue
+                    mgu = _args_mgu(lit, partner.literals[j])
+                    if mgu is None:
+                        continue
                     results.append(
                         (
-                            _resolvent(given, i, partner, j, mgu),
+                            _resolvent(given, i, partner, j, mgu, self.literal_table),
                             (False, (given_id, pid), (i, j), mgu),
                         )
                     )

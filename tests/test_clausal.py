@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from folkit.syntax import (
     And,
     App,
@@ -156,6 +158,34 @@ def test_clauses_drop_duplicate_literals_and_tautologies():
     assert len(c.literals) == 1
     taut = clausify([unit(Or(P, Not(P)))])
     assert taut == []
+
+
+def test_clause_keeps_first_occurrences_in_order():
+    p, q, r = (Literal(True, name, (X,)) for name in "pqr")
+    c = Clause([q, p, Literal(True, "q", (X,)), r, p, Literal(False, "q", (X,))])
+    assert c.literals == (q, p, r, Literal(False, "q", (X,)))
+    assert c.lit_set == set(c.literals)
+
+
+def test_tautologies_are_complementary_pairs_or_reflexive_equations():
+    a, b = App("a", ()), App("b", ())
+    p_a, not_p_a = Literal(True, "p", (a,)), Literal(False, "p", (a,))
+    q = Literal(True, "q", (X,))
+    assert Clause([p_a, q, not_p_a]).is_tautology()
+    assert Clause([not_p_a, p_a]).is_tautology()
+    assert Clause([q, Literal(True, "=", (X, X))]).is_tautology()
+    assert not Clause([Literal(True, "=", (X, Var("Y")))]).is_tautology()
+    assert not Clause([Literal(False, "=", (X, X))]).is_tautology()
+    assert not Clause([p_a, Literal(False, "p", (b,))]).is_tautology()
+    assert not Clause([p_a, Literal(False, "p", (X,))]).is_tautology()
+
+
+def test_literals_and_clauses_reject_assignment():
+    lit = Literal(True, "p", (X,))
+    c = Clause([lit])
+    for obj, attr in [(lit, "positive"), (lit, "args"), (c, "literals"), (c, "lit_set")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
 
 
 def test_equality_axioms_constants_only():

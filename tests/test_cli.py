@@ -1,6 +1,7 @@
 """Command-line workflows: dispatch, reports, exit codes, artifacts."""
 
 import io
+import time
 
 import pytest
 
@@ -114,6 +115,18 @@ def test_unknown_gets_exit_one(tmp_path):
     code, text = run_text(config)
     assert code == EXIT_UNKNOWN
     assert text.startswith("SZS status Unknown\n")
+
+
+def test_time_limit_bounds_grounding(tmp_path):
+    # no model of size 1; at size 2 the clause has 2**199 ground instances
+    term = "f(" * 198 + "a" + ")" * 198
+    path = write_problem(tmp_path, f"fof(a, axiom, {term} != b).")
+    config = RunConfig("consistency", path=path, time_limit_seconds=2.0)
+    start = time.monotonic()
+    code, text = run_text(config)
+    assert time.monotonic() - start < 10.0
+    assert code == EXIT_UNKNOWN
+    assert text == "SZS status Unknown\n"
 
 
 # -- model --------------------------------------------------------------------

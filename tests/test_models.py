@@ -1,6 +1,7 @@
 """Finite models: grounding, decoding, evaluation, and the size-iterating search."""
 
 import random
+import time
 
 import pytest
 
@@ -189,6 +190,25 @@ def test_find_model_time_limit_is_the_shared_resource_out(reduced_six):
     assert isinstance(result, folkit.ResourceOut)
     assert result.reason == "time-limit"
     assert folkit.models.ResourceOut is folkit.saturation.ResourceOut
+
+
+def _deep_disequation(depth):
+    """f(...f(a)...) != b: at size n, grounding it takes n**(depth + 1) assignments."""
+    term = "f(" * depth + "a" + ")" * depth
+    return parse_tptp(f"fof(a, axiom, {term} != b).").units
+
+
+def test_grounding_stops_at_its_deadline():
+    clauses = clausify(_deep_disequation(198))
+    with pytest.raises(TimeoutError):
+        ground(clauses, 2, deadline=time.monotonic() + 0.2)
+
+
+def test_model_search_time_limit_bounds_grounding():
+    start = time.monotonic()
+    result = find_model(_deep_disequation(198), limits=folkit.Limits(max_seconds=1.0))
+    assert time.monotonic() - start < 10.0
+    assert result == folkit.ResourceOut("time-limit")
 
 
 def test_model_search_can_be_interleaved(reduced_six):

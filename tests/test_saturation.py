@@ -7,6 +7,7 @@ import random
 import pytest
 
 from folkit.syntax import App, Var
+from folkit.analysis import saturation_inputs
 from folkit.clausal import Clause, Literal, clause_str, clausify
 from folkit.saturation import (
     Clash,
@@ -18,7 +19,9 @@ from folkit.saturation import (
     Refutation,
     ResourceOut,
     Saturated,
+    _args_mgu,
     _eligible_indices,
+    _resolvent,
     check_derivation,
     factor,
     format_derivation,
@@ -121,6 +124,71 @@ def test_unify_is_most_general_on_random_pairs():
         assert match_term(unified, ground, {})
         successes += 1
     assert successes == 200
+
+
+def _random_literal_pair(rng):
+    """Complementary literals p(s1,s2) and ~p(t1,t2), non-ground one first.
+
+    Exactly one is ground.  Terms are over constants a and b, unary f and
+    binary g (_random_term).  Half the time the non-ground side abstracts
+    the ground one, so that matches are about as common as clashes.
+    """
+    ground = Literal(True, "p", (_random_term(rng, 3, ()), _random_term(rng, 3, ())))
+    if rng.random() < 0.5:
+        counter = itertools.count()
+        args = tuple(_abstract(rng, t, "V", counter)[0] for t in ground.args)
+    else:
+        args = (_random_term(rng, 3, ("X", "Y")), _random_term(rng, 3, ("X", "Y")))
+    lifted = Literal(False, "p", args)
+    if not lifted.has_var:
+        lifted = Literal(False, "p", (X, args[1]))
+    if rng.random() < 0.5:
+        return lifted, ground
+    return lifted.negate(), ground.negate()
+
+
+def test_matching_path_gives_the_unifier_of_unify():
+    rng = random.Random(5)
+    seen = {"match": 0, "clash": 0}
+    for n in range(500):
+        lifted, ground = _random_literal_pair(rng)
+        l1, l2 = (lifted, ground) if n % 2 else (ground, lifted)
+        expected = unify(App("t", l1.args), App("t", l2.args))
+        got = _args_mgu(l1, l2)
+        if isinstance(expected, Clash):
+            assert got is None, (l1, l2)
+            seen["clash"] += 1
+        else:
+            assert isinstance(expected, Mgu), (l1, l2)
+            assert got == dict(expected.substitution.bindings), (l1, l2)
+            seen["match"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_resolvents_are_equal_with_and_without_a_shared_literal_table():
+    rng = random.Random(8)
+    table = {}
+    built = 0
+    for n in range(500):
+        lifted, ground = _random_literal_pair(rng)
+        # the clauses share no variable: X, Y and V0... on one side, Z on the other
+        side = Literal(rng.random() < 0.5, "q", (_random_term(rng, 2, ("X", "Y")),))
+        c_lifted = Clause([side, lifted])
+        side = Literal(rng.random() < 0.5, "q", (_random_term(rng, 2, ("Z",)),))
+        c_ground = Clause([ground, side])
+        c1, c2 = (c_lifted, c_ground) if n % 2 else (c_ground, c_lifted)
+        for resolvent, (i, j), mgu in resolve(c1, c2):
+            bindings = dict(mgu.bindings)
+            shared = _resolvent(c1, i, c2, j, bindings, table)
+            assert shared == resolvent
+            assert shared.lit_set == resolvent.lit_set
+            by_hand = [l.substitute(bindings) for k, l in enumerate(c1.literals) if k != i]
+            by_hand += [l.substitute(bindings) for k, l in enumerate(c2.literals) if k != j]
+            assert shared == Clause(by_hand)
+            again = _resolvent(c1, i, c2, j, bindings, table)
+            assert all(x is y for x, y in zip(again.literals, shared.literals))
+            built += 1
+    assert built >= 200, built
 
 
 # -- resolution and factoring -------------------------------------------------
@@ -280,6 +348,22 @@ def test_prover_steps_in_slices_match_saturate(reduced_six, slice_size):
     assert result.generated == whole.generated
     assert format_derivation(result.derivation) == format_derivation(whole.derivation)
     assert prover.step(slice_size) is result  # a finished search stays finished
+
+
+@pytest.mark.parametrize(
+    "labels, generated, steps",
+    [
+        (["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"], 3_697, 80),
+        ([f"ax{k}" for k in range(1, 13)], 37_359, 78),
+    ],
+    ids=["six", "twelve"],
+)
+def test_search_is_pinned(hypotheses, labels, generated, steps):
+    """A change that makes clauses cheaper must not change the search."""
+    result = saturate(saturation_inputs([hypotheses[l] for l in labels]))
+    assert isinstance(result, Refutation)
+    assert result.generated == generated
+    assert len(result.derivation.steps) == steps
 
 
 def test_saturate_is_deterministic(hypotheses):
