@@ -1,5 +1,6 @@
 """CDCL solver: decisions, budgets, assignments, DIMACS input and output."""
 
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,9 @@ from folkit.sat import (
     sat_solve,
 )
 
+import folkit.models
+from folkit.models import NoModelUpTo, find_model
+
 from oracles import random_prop_instance, tt_satisfiable
 
 
@@ -30,6 +34,25 @@ def pigeonhole(pigeons: int, holes: int) -> PropClauseSet:
         for i1, i2 in itertools.combinations(range(pigeons), 2):
             clauses.append([-var(i1, j), -var(i2, j)])
     return PropClauseSet(pigeons * holes, clauses)
+
+
+def random_3sat(seed: int, num_vars: int, num_clauses: int) -> PropClauseSet:
+    """Uniform random 3-SAT: three distinct variables per clause, random signs."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    return PropClauseSet(num_vars, clauses)
+
+
+def solved(problem: PropClauseSet) -> tuple[CdclSolver, bool]:
+    solver = CdclSolver(problem.n)
+    for clause in problem.clauses:
+        solver.add_clause(clause)
+    verdict = solver.solve()
+    assert verdict is not None
+    return solver, verdict
 
 
 def test_empty_problem_is_satisfiable():
@@ -173,3 +196,60 @@ def test_dimacs_clause_may_span_lines():
 def test_dimacs_rejects_malformed_input(text, hint):
     with pytest.raises(PropFormatError, match=hint):
         parse_dimacs(text)
+
+
+# -- pinned search --------------------------------------------------------------
+#
+# Branching, learning, restarts and the order in which watch lists are
+# visited decide every conflict and the final assignment.  A change that
+# only makes the solver faster keeps these figures exactly.
+
+
+@pytest.mark.parametrize("pigeons, holes, conflicts", [(6, 5, 139), (7, 6, 766)])
+def test_pigeonhole_conflicts_are_pinned(pigeons, holes, conflicts):
+    solver, verdict = solved(pigeonhole(pigeons, holes))
+    assert verdict is False
+    assert solver.conflicts == conflicts
+
+
+@pytest.mark.parametrize(
+    "seed, conflicts, digest",
+    [(2, 625, None), (3, 271, "1d0e020b33572eac"), (7, 361, "5e958b74363d6e42")],
+)
+def test_random_3sat_search_is_pinned(seed, conflicts, digest):
+    """100 variables and 420 clauses: a ratio of 4.2, near the threshold."""
+    problem = random_3sat(seed, 100, 420)
+    solver, verdict = solved(problem)
+    assert solver.conflicts == conflicts
+    assert verdict is (digest is not None)
+    if verdict:
+        assignment = solver.assignment()
+        assert check_assignment(problem, assignment)
+        bits = "".join("1" if assignment[v] else "0" for v in range(1, problem.n + 1))
+        assert hashlib.sha256(bits.encode()).hexdigest()[:16] == digest
+
+
+MODEL_SETS = {
+    "twelve": [f"ax{i}" for i in range(1, 13)],
+    "six": ["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"],
+    "core9": ["ax4", "ax5", "ax7", "ax9", "ax10", "ax12"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, conflicts", [("twelve", 3372), ("six", 4709), ("core9", 5080)]
+)
+def test_model_finder_conflicts_are_pinned(hypotheses, monkeypatch, name, conflicts):
+    """Conflicts summed over sizes 1..8, none of which has a model."""
+    solvers = []
+
+    class CountingSolver(CdclSolver):
+        def __init__(self, n):
+            super().__init__(n)
+            solvers.append(self)
+
+    monkeypatch.setattr(folkit.models, "CdclSolver", CountingSolver)
+    units = [hypotheses[label] for label in MODEL_SETS[name]]
+    assert find_model(units, max_size=8) == NoModelUpTo(8)
+    assert len(solvers) == 8
+    assert sum(s.conflicts for s in solvers) == conflicts
