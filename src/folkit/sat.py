@@ -3,7 +3,9 @@
 Clauses are lists of nonzero signed variable indices.  The solver uses
 two-watched-literal propagation, first-UIP clause learning, and a fixed
 geometric restart schedule; all heuristics are deterministic so repeated
-runs produce identical assignments.
+runs produce identical assignments.  The assignment and the watch lists
+are indexed by literal, negative literals from the end of the list, so
+reading a literal's value is a single list lookup.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class CdclSolver:
     resumed later.  Branching picks the unassigned variable of highest
     activity (ties to the lowest index) and tries polarity false first.
     Restarts follow a geometric schedule: 100 conflicts, growing by 1.5.
+
+    Values and watch lists are indexed by literal: a list of length 2n+1
+    holds the entry of literal l at index l, so a negative literal reads
+    from the end of the list.  vals[l] is 1 when l is true, -1 when it is
+    false and 0 when unset.
     """
 
     _RESTART_BASE = 100
@@ -69,11 +76,12 @@ class CdclSolver:
     def __init__(self, n: int):
         self.n = n
         self.clauses: list[list[int]] = []
-        # watch lists are keyed by the literal that would be falsified
-        self.watches: dict[int, list[list[int]]] = {}
-        self.assigns: list[int] = [0] * (n + 1)  # 0 unset, 1 true, -1 false
+        # watches[l] holds the clauses watching l, visited when l turns false
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        self.vals: list[int] = [0] * (2 * n + 1)
         self.level: list[int] = [0] * (n + 1)
         self.reason: list[list[int] | None] = [None] * (n + 1)
+        self.seen: list[bool] = [False] * (n + 1)  # scratch for _analyze
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.activity: list[float] = [0.0] * (n + 1)
@@ -87,14 +95,12 @@ class CdclSolver:
     # -- assignment plumbing ------------------------------------------------
 
     def value(self, lit: int) -> int:
-        v = self.assigns[abs(lit)]
-        if v == 0:
-            return 0
-        return v if lit > 0 else -v
+        return self.vals[lit]
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         var = abs(lit)
-        self.assigns[var] = 1 if lit > 0 else -1
+        self.vals[lit] = 1
+        self.vals[-lit] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -124,43 +130,57 @@ class CdclSolver:
 
     def _attach(self, clause: list[int]) -> None:
         self.clauses.append(clause)
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # -- search -------------------------------------------------------------
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        vals = self.vals
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        current = len(self.trail_lim)
+        while self.qhead < len(trail):
+            falsified = -trail[self.qhead]
             self.qhead += 1
-            falsified = -lit
-            watching = self.watches.get(falsified)
+            watching = watches[falsified]
             if not watching:
                 continue
-            keep: list[list[int]] = []
-            confl: list[int] | None = None
+            # compact the clauses that keep this watch to the list's front
+            kept = 0
             for idx, clause in enumerate(watching):
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                # keep the falsified watch in clause[1]
                 other = clause[0]
-                if self.value(other) == 1:
-                    keep.append(clause)
+                if other == falsified:
+                    other = clause[1]
+                    clause[0] = other
+                    clause[1] = falsified
+                if vals[other] == 1:
+                    watching[kept] = clause
+                    kept += 1
                     continue
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
+                    lit = clause[k]
+                    if vals[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(clause)
                         break
                 else:
-                    keep.append(clause)
-                    if self.value(other) == -1:
-                        confl = clause
-                        keep.extend(watching[idx + 1 :])
-                        break
-                    self._enqueue(other, clause)
-            self.watches[falsified] = keep
-            if confl is not None:
-                return confl
+                    watching[kept] = clause
+                    kept += 1
+                    if vals[other] == -1:
+                        del watching[kept : idx + 1]
+                        return clause
+                    vals[other] = 1
+                    vals[-other] = -1
+                    var = other if other > 0 else -other
+                    level[var] = current
+                    reason[var] = clause
+                    trail.append(other)
+            del watching[kept:]
         return None
 
     def _bump(self, var: int) -> None:
@@ -173,39 +193,45 @@ class CdclSolver:
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         learned = [0]
-        seen = [False] * (self.n + 1)
+        seen = self.seen
+        marked: list[int] = []
+        level = self.level
+        trail = self.trail
         counter = 0
         lit = 0
-        index = len(self.trail)
+        index = len(trail)
         cur_level = len(self.trail_lim)
         reason: list[int] | None = confl
         while True:
             assert reason is not None
             for q in reason:
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0 and q != lit:
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0 and q != lit:
                     seen[var] = True
+                    marked.append(var)
                     self._bump(var)
-                    if self.level[var] >= cur_level:
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
                 index -= 1
-                lit = -self.trail[index]
+                lit = -trail[index]
                 if seen[abs(lit)]:
                     break
             counter -= 1
             if counter == 0:
                 break
             reason = self.reason[abs(lit)]
+        for var in marked:
+            seen[var] = False
         learned[0] = lit
         if len(learned) == 1:
             back_level = 0
         else:
-            best = max(range(1, len(learned)), key=lambda i: self.level[abs(learned[i])])
+            best = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
             learned[1], learned[best] = learned[best], learned[1]
-            back_level = self.level[abs(learned[1])]
+            back_level = level[abs(learned[1])]
         self.var_inc /= self._ACTIVITY_DECAY
         return learned, back_level
 
@@ -213,10 +239,12 @@ class CdclSolver:
         if len(self.trail_lim) <= target:
             return
         bound = self.trail_lim[target]
+        vals = self.vals
+        reason = self.reason
         for lit in reversed(self.trail[bound:]):
-            var = abs(lit)
-            self.assigns[var] = 0
-            self.reason[var] = None
+            vals[lit] = 0
+            vals[-lit] = 0
+            reason[abs(lit)] = None
         del self.trail[bound:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -225,9 +253,9 @@ class CdclSolver:
         best = 0
         best_act = -1.0
         activity = self.activity
-        assigns = self.assigns
+        vals = self.vals
         for var in range(1, self.n + 1):
-            if assigns[var] == 0 and activity[var] > best_act:
+            if vals[var] == 0 and activity[var] > best_act:
                 best = var
                 best_act = activity[var]
         return best
@@ -267,7 +295,7 @@ class CdclSolver:
             self._enqueue(-var, None)  # polarity false first
 
     def assignment(self) -> dict[int, bool]:
-        return {v: self.assigns[v] == 1 for v in range(1, self.n + 1)}
+        return {v: self.vals[v] == 1 for v in range(1, self.n + 1)}
 
 
 def sat_solve(problem: PropClauseSet) -> SatResult:
