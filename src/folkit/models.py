@@ -208,12 +208,16 @@ def ground(
 ) -> tuple[PropClauseSet, GroundTable]:
     """Propositional encoding satisfiable iff the clauses have a size-n model.
 
-    Every function cell gets exactly-one constraints up front, and the
-    first 0-ary function in signature order is pinned to element 0 to
-    break symmetry (models are closed under domain relabeling).  A clause
-    with k variables takes n^k assignments.  Past deadline, a value of
-    time.monotonic(), grounding raises TimeoutError; it reads the clock
-    once per 1,024 assignments.
+    Every function cell gets exactly-one constraints up front.  Symmetry
+    is broken on the 0-ary functions c_0, c_1, ... in signature order
+    (Skolem constants included): c_k <= k, and c_k = d with d > 0 only
+    if some earlier constant takes d - 1.  This is sound because models
+    are closed under domain relabelling, and numbering the elements in
+    the order the constants first take them gives a model of this form.
+    A clause with k variables takes n^k assignments.  Past deadline, a
+    value of time.monotonic(), grounding raises TimeoutError; it reads
+    the clock once per 1,024 function cells and once per 1,024
+    assignments.
     """
     if n < 1:
         raise ValueError("domain size must be at least 1")
@@ -230,6 +234,12 @@ def ground(
             row = []
             for d in range(n):
                 counter += 1
+                if (
+                    counter & 1023 == 0
+                    and deadline is not None
+                    and time.monotonic() > deadline
+                ):
+                    raise TimeoutError(f"grounding at size {n} ran past its deadline")
                 cell_vars[(fname, args, d)] = counter
                 row.append(counter)
             out.append(row)  # at least one value
@@ -237,10 +247,16 @@ def ground(
                 for j in range(i + 1, n):
                     out.append([-row[i], -row[j]])  # at most one value
 
-    for fname, arity in functions:
-        if arity == 0:
-            out.append([cell_vars[(fname, (), 0)]])
-            break
+    constants = [fname for fname, arity in functions if arity == 0]
+    for k, fname in enumerate(constants):
+        for d in range(k + 1, n):
+            out.append([-cell_vars[(fname, (), d)]])  # c_k <= k
+        for d in range(1, min(k, n - 1) + 1):
+            # c_k = d only if an earlier constant takes d - 1
+            out.append(
+                [-cell_vars[(fname, (), d)]]
+                + [cell_vars[(earlier, (), d - 1)] for earlier in constants[:k]]
+            )
 
     def atom_var(pred: str, args: tuple[int, ...]) -> int:
         nonlocal counter

@@ -28,12 +28,13 @@ from folkit.models import (
     decode,
     evaluate,
     find_model,
+    _clause_symbols,
     format_interpretation,
     ground,
 )
 from folkit.sat import Sat, Unsat, sat_solve
 
-from oracles import Interp as OracleInterp
+from oracles import Interp as OracleInterp, clauses_have_model
 
 X, Y = Var("X"), Var("Y")
 
@@ -122,6 +123,70 @@ def test_ground_pins_first_constant_for_symmetry_breaking():
     interp = decode(table, result.assignment)
     assert interp.constants["tarr"] == 0
     assert interp.constants["fether"] == 1
+
+
+def random_constant_clauses(rng: random.Random):
+    """A few clauses over 3-5 constants, one or two unary predicates and =.
+
+    Returns the clauses with a signature that lists every constant and
+    predicate in a shuffled order, so the constants' order varies too.
+    """
+    constants = [f"c{i}" for i in range(rng.randint(3, 5))]
+    preds = ["p", "q"][: rng.randint(1, 2)]
+    variables = ["X", "Y"]
+
+    def term():
+        if rng.random() < 0.25:
+            return Var(rng.choice(variables))
+        return App(rng.choice(constants), ())
+
+    def literal():
+        positive = rng.random() < 0.5
+        if rng.random() < 0.5:
+            return Literal(positive, "=", (term(), term()))
+        return Literal(positive, rng.choice(preds), (term(),))
+
+    clauses = [
+        Clause([literal() for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.randint(2, 6))
+    ]
+    rng.shuffle(constants)
+    rng.shuffle(preds)
+    sig = Signature(
+        predicates={p: 1 for p in preds}, functions={c: 0 for c in constants}
+    )
+    return clauses, sig
+
+
+def test_constant_symmetry_breaking_keeps_every_size_satisfiable_as_before():
+    """Sizes 1-3: the grounding has a model exactly when the clauses have one.
+
+    Relabelling the domain maps any model onto one where constant k takes a
+    value at most k, and takes d > 0 only if an earlier constant takes d - 1.
+    """
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(200):
+        clauses, sig = random_constant_clauses(rng)
+        # symbols the clauses leave out cannot change their satisfiability
+        used = _clause_symbols(clauses, None)
+        constants, preds = dict(used[0]), dict(used[1])
+        for n in (1, 2, 3):
+            problem, _ = ground(clauses, n, signature=sig)
+            expected = clauses_have_model(clauses, preds, constants, n)
+            assert isinstance(sat_solve(problem), Sat) == expected, (clauses, n)
+            outcomes.add((n, expected))
+    assert outcomes == {(n, sat) for n in (1, 2, 3) for sat in (True, False)}
+
+
+def test_function_cell_tables_obey_the_deadline():
+    """A 5-ary function at size 8 has 262,144 cells to build before any clause."""
+    args = ", ".join(f"X{i}" for i in range(1, 6))
+    clauses = clausify(parse_tptp(f"fof(a, axiom, ![{args}] : p(g({args}))).").units)
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        ground(clauses, 8, deadline=time.monotonic())
+    assert time.monotonic() - start < 0.5
 
 
 def test_ground_rejects_empty_domain():

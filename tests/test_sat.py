@@ -237,7 +237,7 @@ MODEL_SETS = {
 
 
 @pytest.mark.parametrize(
-    "name, conflicts", [("twelve", 3372), ("six", 4709), ("core9", 5080)]
+    "name, conflicts", [("twelve", 896), ("six", 1737), ("core9", 1245)]
 )
 def test_model_finder_conflicts_are_pinned(hypotheses, monkeypatch, name, conflicts):
     """Conflicts summed over sizes 1..8, none of which has a model."""
