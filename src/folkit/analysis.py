@@ -122,16 +122,14 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     Unsatisfiable always comes from saturation with a checked
     refutation, Satisfiable always from the model finder with a
     verified interpretation, so reports do not depend on timing.
+    Each engine stops on its own clock once limits.max_seconds has
+    passed; when both have stopped without an answer, it is Unknown.
     """
     start = time.monotonic()
     hunter = ModelSearch(units, max_size=max_size, limits=limits)
     # the model finder's clauses are what saturation_inputs would build
     clauses = _with_equality(hunter.clauses, hunter.signature)
     prover = Prover(clauses, limits)
-
-    def out_of_time() -> bool:
-        limit = limits.max_seconds
-        return limit is not None and time.monotonic() - start > limit
 
     def stats() -> RunStats:
         return RunStats(
@@ -158,8 +156,6 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
                 return Verdict("Satisfiable", found.interpretation, stats())
             if found is not None:
                 hunting = False
-        if out_of_time():
-            break
     return Verdict("Unknown", None, stats())
 
 

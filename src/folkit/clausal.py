@@ -32,6 +32,7 @@ from .syntax import (
     apply_to_term,
     signature_of,
     term_str,
+    term_variables,
 )
 
 EQ = "="  # reserved predicate name for equality literals
@@ -102,15 +103,7 @@ class Literal:
         return self._weight
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        stack = list(self.args)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                out.add(t.name)
-            else:
-                stack.extend(t.args)  # type: ignore[union-attr]
-        return out
+        return set().union(*map(term_variables, self.args))
 
     def __repr__(self):
         return f"Literal({literal_str(self)!r})"

@@ -24,13 +24,7 @@ from .tptp import (
     parse_tptp,
 )
 from .saturation import Derivation, Limits, format_derivation
-from .models import (
-    Interpretation,
-    Model,
-    NoModelUpTo,
-    find_model,
-    format_interpretation,
-)
+from .models import Interpretation, Model, NoModelUpTo, find_model
 from .analysis import (
     PreconditionViolated,
     RunStats,
@@ -95,10 +89,9 @@ def _write_artifacts(
             format_derivation(verdict.witness), encoding="utf-8"
         )
     if config.model_out and isinstance(verdict.witness, Interpretation):
-        text = f"SZS status {verdict.status}\n" + format_interpretation(
-            verdict.witness, signature
+        Path(config.model_out).write_text(
+            format_verdict(verdict, signature), encoding="utf-8"
         )
-        Path(config.model_out).write_text(text, encoding="utf-8")
 
 
 def _checked_line(ok: bool) -> str:

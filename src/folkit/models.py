@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .clausal import EQ, Clause, clausify
+from .clausal import EQ, Clause, clause_signature, clausify
 from .sat import CdclSolver, PropClauseSet
 from .saturation import Limits, ResourceOut
 from .syntax import App, Formula, Signature, Term, Var, signature_of
@@ -130,35 +130,6 @@ class GroundTable:
     predicates: list[tuple[str, int]]
     cell_vars: dict[tuple[str, tuple[int, ...], int], int]
     atom_vars: dict[tuple[str, tuple[int, ...]], int]
-    var_count: int
-
-
-def _clause_symbols(
-    clauses: Iterable[Clause],
-    signature: Signature | None,
-) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    """Function and predicate symbols with arities, in a stable order.
-
-    Symbols declared in the signature come first in declaration order;
-    anything else (Skolem symbols) follows in clause-scan order.
-    """
-    functions: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-    if signature is not None:
-        functions.update(signature.functions)
-        predicates.update(signature.predicates)
-    for clause in clauses:
-        for lit in clause.literals:
-            if lit.pred != EQ and lit.pred not in predicates:
-                predicates[lit.pred] = len(lit.args)
-            stack = list(lit.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, App):
-                    if t.op not in functions:
-                        functions[t.op] = len(t.args)
-                    stack.extend(t.args)
-    return list(functions.items()), list(predicates.items())
 
 
 def _flatten_clause(
@@ -222,7 +193,9 @@ def ground(
     if n < 1:
         raise ValueError("domain size must be at least 1")
     clauses = list(clauses)
-    functions, predicates = _clause_symbols(clauses, signature)
+    used = clause_signature(clauses, base=signature)
+    functions = list(used.functions.items())
+    predicates = list(used.predicates.items())
 
     counter = 0
     cell_vars: dict[tuple[str, tuple[int, ...], int], int] = {}
@@ -309,7 +282,7 @@ def ground(
                 continue
             out.append(deduped)
 
-    table = GroundTable(n, functions, predicates, cell_vars, atom_vars, counter)
+    table = GroundTable(n, functions, predicates, cell_vars, atom_vars)
     return PropClauseSet(counter, out), table
 
 
@@ -363,8 +336,9 @@ class ModelSearch:
     step() runs a bounded number of solver conflicts and returns None
     while undecided, so callers can interleave model search with other
     work.  Verdicts are deterministic and come from the smallest size.
-    A grounding that runs past the time limit, counted from construction,
-    ends the search as ResourceOut("time-limit").
+    The time limit counts from construction: once it has passed, step()
+    runs no further solver slice, and a grounding that runs past it is
+    cut short; either way the search ends as ResourceOut("time-limit").
     """
 
     def __init__(
@@ -412,6 +386,9 @@ class ModelSearch:
             self.done = self._next_size()
             if self.done is not None:
                 return self.done
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.done = ResourceOut("time-limit")
+            return self.done
         assert self.solver is not None
         verdict = self.solver.solve(max_conflicts=max_conflicts)
         if verdict is None:
@@ -435,14 +412,15 @@ def find_model(
     max_size: int = 8,
     limits: "Limits | None" = None,
 ) -> ModelSearchResult:
-    """Search sizes 1..max_size for a model of the units."""
+    """Search sizes 1..max_size for a model of the units.
+
+    Past the time limit, grounding or solving ends in ResourceOut("time-limit").
+    """
     search = ModelSearch(units, max_size, limits)
     while True:
         result = search.step(max_conflicts=4000)
         if result is not None:
             return result
-        if search.deadline is not None and time.monotonic() > search.deadline:
-            return ResourceOut("time-limit")
 
 
 # ---------------------------------------------------------------------------

@@ -106,18 +106,25 @@ class CdclSolver:
         self.trail.append(lit)
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Add an input clause; only valid at decision level 0."""
+        """Add an input clause, first backtracking to decision level 0.
+
+        It keeps each literal's first occurrence, in order, less those
+        false at level 0; tautologies and satisfied clauses are dropped.
+        """
         if self.failed:
             return
+        self._backtrack(0)
+        vals = self.vals
+        seen: set[int] = set()
         clause = []
         for lit in lits:
-            if lit not in clause:
+            if lit in seen:
+                continue
+            if -lit in seen or vals[lit] == 1:
+                return  # tautology, or already satisfied
+            seen.add(lit)
+            if vals[lit] == 0:
                 clause.append(lit)
-        if any(-lit in clause for lit in clause):
-            return  # tautology
-        clause = [lit for lit in clause if self.value(lit) != -1]
-        if any(self.value(lit) == 1 for lit in clause):
-            return
         if not clause:
             self.failed = True
             return

@@ -1,8 +1,9 @@
 """Abstract syntax for first-order logic with equality.
 
-Terms, formulas, signatures and substitutions.  Everything here is
-immutable after construction and safe to share between threads; the
-prover relies on that to reuse subtrees freely.
+Terms, formulas, signatures, substitutions, and the printer of terms
+and formulas in TPTP syntax.  Everything here is immutable after
+construction and safe to share between threads; the prover relies on
+that to reuse subtrees freely.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ class Substitution(Mapping):
 def apply_to_term(s: Mapping[str, Term], t: Term) -> Term:
     """Simultaneous replacement: each variable is replaced exactly once."""
     if isinstance(t, Var):
-        return s.get(t.name, t) if isinstance(s, dict) else (s[t.name] if t.name in s else t)
+        return s.get(t.name, t)
     assert isinstance(t, App)
     if not t.args:
         return t
@@ -411,7 +412,7 @@ def alpha_equal(a: Formula, b: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text rendering (diagnostics; TPTP printing lives in tptp.py)
+# Printing: terms and formulas in TPTP fof syntax (tptp.print_tptp wraps units)
 # ---------------------------------------------------------------------------
 
 def term_str(t: Term) -> str:
@@ -423,27 +424,71 @@ def term_str(t: Term) -> str:
     return f"{t.op}({','.join(term_str(a) for a in t.args)})"
 
 
-def formula_str(f: Formula) -> str:
+def _chain(f: Formula, op) -> list[Formula]:
+    # flatten the left spine only, so reparsing rebuilds the same tree
+    parts: list[Formula] = []
+    while isinstance(f, op):
+        parts.append(f.rhs)
+        f = f.lhs
+    parts.append(f)
+    parts.reverse()
+    return parts
+
+
+def _unitary_out(f: Formula, tail: bool) -> str:
     if isinstance(f, Atom):
         if not f.args:
             return f.pred
         return f"{f.pred}({','.join(term_str(a) for a in f.args)})"
     if isinstance(f, Equal):
         return f"{term_str(f.lhs)} = {term_str(f.rhs)}"
-    if isinstance(f, Not):
-        return f"~({formula_str(f.sub)})"
-    if isinstance(f, And):
-        return f"({formula_str(f.lhs)} & {formula_str(f.rhs)})"
-    if isinstance(f, Or):
-        return f"({formula_str(f.lhs)} | {formula_str(f.rhs)})"
-    if isinstance(f, Implies):
-        return f"({formula_str(f.lhs)} => {formula_str(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"({formula_str(f.lhs)} <=> {formula_str(f.rhs)})"
-    if isinstance(f, Forall):
-        return f"(![{f.var}]: {formula_str(f.body)})"
-    if isinstance(f, Exists):
-        return f"(?[{f.var}]: {formula_str(f.body)})"
     if isinstance(f, Truth):
         return "$true"
-    return "$false"
+    if isinstance(f, Falsity):
+        return "$false"
+    if isinstance(f, Not):
+        if isinstance(f.sub, Equal):
+            return f"{term_str(f.sub.lhs)} != {term_str(f.sub.rhs)}"
+        if isinstance(f.sub, (Atom, Equal, Not, Truth, Falsity, Forall, Exists)):
+            return "~" + _unitary_out(f.sub, tail)
+        return f"~({_formula_out(f.sub, True)})"
+    if isinstance(f, (Forall, Exists)):
+        mark = "!" if isinstance(f, Forall) else "?"
+        body = _formula_out(f.body, True)
+        text = f"{mark}[{f.var}] : {body}"
+        return text if tail else f"({text})"
+    return f"({_formula_out(f, True)})"
+
+
+def _orand_out(f: Formula, tail: bool) -> str:
+    if isinstance(f, (And, Or)):
+        op = And if isinstance(f, And) else Or
+        sep = " & " if isinstance(f, And) else " | "
+        parts = _chain(f, op)
+        last = len(parts) - 1
+        return sep.join(
+            _unitary_out(p, tail and i == last) for i, p in enumerate(parts)
+        )
+    return _unitary_out(f, tail)
+
+
+def _impl_out(f: Formula, tail: bool) -> str:
+    if isinstance(f, Implies):
+        return f"{_orand_out(f.lhs, False)} => {_orand_out(f.rhs, tail)}"
+    return _orand_out(f, tail)
+
+
+def _formula_out(f: Formula, tail: bool) -> str:
+    if isinstance(f, Iff):
+        return f"{_impl_out(f.lhs, False)} <=> {_impl_out(f.rhs, tail)}"
+    return _impl_out(f, tail)
+
+
+def formula_str(f: Formula) -> str:
+    """Render a formula in fof syntax with minimal parentheses.
+
+    parse_fof_formula reads the text back to the same tree: `&` and `|`
+    chains print along their left spine, and a quantifier is
+    parenthesised unless nothing follows it.
+    """
+    return _formula_out(f, True)

@@ -23,7 +23,6 @@ from .syntax import (
     Equal,
     Exists,
     FALSE,
-    Falsity,
     Forall,
     Formula,
     Iff,
@@ -34,8 +33,8 @@ from .syntax import (
     SignatureError,
     TRUE,
     Term,
-    Truth,
     Var,
+    formula_str,
     free_variables,
     signature_of,
 )
@@ -491,84 +490,10 @@ def parse_fof_formula(text: str) -> Formula:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _term_out(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    assert isinstance(t, App)
-    if not t.args:
-        return t.op
-    return f"{t.op}({','.join(_term_out(a) for a in t.args)})"
-
-
-def _chain(f: Formula, op) -> list[Formula]:
-    # flatten the left spine only, so reparsing rebuilds the same tree
-    parts: list[Formula] = []
-    while isinstance(f, op):
-        parts.append(f.rhs)
-        f = f.lhs
-    parts.append(f)
-    parts.reverse()
-    return parts
-
-
-def _unitary_out(f: Formula, tail: bool) -> str:
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({','.join(_term_out(a) for a in f.args)})"
-    if isinstance(f, Equal):
-        return f"{_term_out(f.lhs)} = {_term_out(f.rhs)}"
-    if isinstance(f, Truth):
-        return "$true"
-    if isinstance(f, Falsity):
-        return "$false"
-    if isinstance(f, Not):
-        if isinstance(f.sub, Equal):
-            return f"{_term_out(f.sub.lhs)} != {_term_out(f.sub.rhs)}"
-        if isinstance(f.sub, (Atom, Equal, Not, Truth, Falsity, Forall, Exists)):
-            return "~" + _unitary_out(f.sub, tail)
-        return f"~({_formula_out(f.sub, True)})"
-    if isinstance(f, (Forall, Exists)):
-        mark = "!" if isinstance(f, Forall) else "?"
-        body = _formula_out(f.body, True)
-        text = f"{mark}[{f.var}] : {body}"
-        return text if tail else f"({text})"
-    return f"({_formula_out(f, True)})"
-
-
-def _orand_out(f: Formula, tail: bool) -> str:
-    if isinstance(f, (And, Or)):
-        op = And if isinstance(f, And) else Or
-        sep = " & " if isinstance(f, And) else " | "
-        parts = _chain(f, op)
-        last = len(parts) - 1
-        return sep.join(
-            _unitary_out(p, tail and i == last) for i, p in enumerate(parts)
-        )
-    return _unitary_out(f, tail)
-
-
-def _impl_out(f: Formula, tail: bool) -> str:
-    if isinstance(f, Implies):
-        return f"{_orand_out(f.lhs, False)} => {_orand_out(f.rhs, tail)}"
-    return _orand_out(f, tail)
-
-
-def _formula_out(f: Formula, tail: bool) -> str:
-    if isinstance(f, Iff):
-        return f"{_impl_out(f.lhs, False)} <=> {_impl_out(f.rhs, tail)}"
-    return _impl_out(f, tail)
-
-
-def format_formula(f: Formula) -> str:
-    """Render a formula in fof syntax with minimal parentheses."""
-    return _formula_out(f, True)
-
-
 def print_tptp(problem: Problem) -> str:
     """Render a problem, one fof unit per line."""
     lines = [
-        f"fof({nf.label}, {nf.role}, {format_formula(nf.formula)})."
+        f"fof({nf.label}, {nf.role}, {formula_str(nf.formula)})."
         for nf in problem.units
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -18,7 +18,7 @@ from folkit.syntax import (
     signature_of,
 )
 from folkit.tptp import NamedFormula, parse_tptp
-from folkit.clausal import Clause, Literal, clausify
+from folkit.clausal import Clause, Literal, clause_signature, clausify
 from folkit.models import (
     Interpretation,
     Model,
@@ -28,7 +28,6 @@ from folkit.models import (
     decode,
     evaluate,
     find_model,
-    _clause_symbols,
     format_interpretation,
     ground,
 )
@@ -169,8 +168,8 @@ def test_constant_symmetry_breaking_keeps_every_size_satisfiable_as_before():
     for _ in range(200):
         clauses, sig = random_constant_clauses(rng)
         # symbols the clauses leave out cannot change their satisfiability
-        used = _clause_symbols(clauses, None)
-        constants, preds = dict(used[0]), dict(used[1])
+        used = clause_signature(clauses)
+        constants, preds = dict(used.functions), dict(used.predicates)
         for n in (1, 2, 3):
             problem, _ = ground(clauses, n, signature=sig)
             expected = clauses_have_model(clauses, preds, constants, n)
@@ -274,6 +273,13 @@ def test_model_search_time_limit_bounds_grounding():
     result = find_model(_deep_disequation(198), limits=folkit.Limits(max_seconds=1.0))
     assert time.monotonic() - start < 10.0
     assert result == folkit.ResourceOut("time-limit")
+
+
+def test_model_search_step_stops_at_its_deadline(reduced_six):
+    search = ModelSearch(reduced_six, max_size=8, limits=folkit.Limits(max_seconds=0.3))
+    assert search.step(max_conflicts=1) is None
+    time.sleep(max(0.0, search.deadline - time.monotonic()) + 0.05)
+    assert search.step(max_conflicts=1) == folkit.ResourceOut("time-limit")
 
 
 def test_model_search_can_be_interleaved(reduced_six):

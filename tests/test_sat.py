@@ -113,6 +113,18 @@ def test_repeated_runs_return_identical_assignments():
             assert first.assignment == second.assignment
 
 
+def test_clause_added_after_a_satisfiable_solve_is_checked_from_level_0():
+    solver = CdclSolver(2)
+    solver.add_clause([1, 2])
+    assert solver.solve() is True
+    assert solver.assignment()[1] is False  # x1 was decided false
+    solver.add_clause([1])
+    assert solver.solve() is True
+    assert not solver.failed
+    assert solver.assignment()[1] is True
+    assert isinstance(sat_solve(PropClauseSet(2, [[1, 2], [1]])), Sat)
+
+
 def test_solver_budget_pauses_and_resumes():
     problem = pigeonhole(5, 4)
     solver = CdclSolver(problem.n)
