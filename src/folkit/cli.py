@@ -10,6 +10,7 @@ input and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +64,10 @@ class RunConfig:
     def __post_init__(self):
         if self.max_model_size < 1:
             raise ValueError("--max-size must be positive")
-        if self.time_limit_seconds <= 0:
-            raise ValueError("--time-limit must be positive")
+        # NaN fails every comparison, so it would pass a `<= 0` test and
+        # then never run out
+        if not (math.isfinite(self.time_limit_seconds) and self.time_limit_seconds > 0):
+            raise ValueError("--time-limit must be finite and positive")
         if self.clause_limit < 1:
             raise ValueError("--clause-limit must be positive")
         if (self.path is None) == (self.labels is None):
@@ -188,6 +191,13 @@ def run(config: RunConfig, out=None) -> int:
         problem = _load(config)
     except FileNotFoundError:
         print(f"error: no such file: {config.path}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: cannot read {config.path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {config.path} is not UTF-8 text: {exc.reason}"
+              f" at byte {exc.start}", file=sys.stderr)
         return EXIT_INPUT
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,21 +1,30 @@
 """Given-clause refutation prover: ordered resolution with selection.
 
 The calculus is the one of Bachmair & Ganzinger ("Resolution Theorem
-Proving", Handbook of Automated Reasoning, 2001).  A clause with a
-negative literal selects its first one and resolves only on it; an
-all-positive clause resolves, and factors, only on literals that are
-maximal under a Knuth-Bendix ordering (kbo_greater) whose precedence
-comes from the input clauses (symbol_precedence).  This calculus is
-refutationally complete: a saturated clause set without the empty
-clause is satisfiable.
+Proving", Handbook of Automated Reasoning, 2001).  A clause with
+negative literals selects the one whose predicate ranks highest in the
+precedence, and resolves only on it; an all-positive clause resolves,
+and factors, only on literals that are maximal under a Knuth-Bendix
+ordering (kbo_greater) whose precedence comes from the input clauses
+(symbol_precedence).  This calculus is refutationally complete: a
+saturated clause set without the empty clause is satisfiable.
 
-Prover runs an Otter-style loop, resumable in slices, with forward
-subsumption and tautology deletion, which are redundancy eliminations
-the calculus tolerates, selecting clauses by weight with every fifth
-selection by age; saturate() runs it to the end.  Refutations come
-with a Derivation whose steps are independently re-checkable by
-check_derivation(), which checks that each step is a sound resolution
-or factoring step and does not care which calculus chose it.
+Prover runs an Otter-style loop, resumable in slices, selecting clauses
+by weight with every fifth selection by age; saturate() runs it to the
+end.  Each generated clause is simplified before it is kept, by
+redundancy eliminations the calculus tolerates:
+
+- tautology deletion;
+- forward unit deletion: a literal L goes when a kept unit clause {M}
+  of the opposite sign matches onto it, since resolving with {M} then
+  removes L and instantiates nothing else;
+- forward subsumption.
+
+Refutations come with a Derivation whose steps are independently
+re-checkable by check_derivation(), which checks that each step is a
+sound resolution or factoring step and does not care which calculus
+chose it.  A unit deletion is recorded as a resolution step of the
+clause against the unit.
 """
 
 from __future__ import annotations
@@ -510,26 +519,36 @@ def _eligible_indices(c: Clause, precedence: dict[str, int]) -> tuple[int, ...]:
     """Literal positions the search may resolve and factor on.
 
     This is ordered resolution with selection (Bachmair & Ganzinger,
-    "Resolution Theorem Proving", 2001).  A clause with a negative
-    literal selects its first negative literal, and resolves only on it.
-    A clause without negative literals selects nothing; it resolves and
-    factors only on literals that no other literal of the clause exceeds
-    in the Knuth-Bendix ordering (kbo_greater).  Every resolution thus
-    pairs a selected negative literal with a maximal literal of an
-    all-positive clause, and only all-positive clauses factor.
+    "Resolution Theorem Proving", 2001).  A clause with negative
+    literals selects one of them, and resolves only on it: the one whose
+    predicate ranks highest in the precedence (under invfreq, the rarest
+    predicate, which has the fewest partners), ties going to the heavier
+    literal and then to the leftmost.  A clause without negative
+    literals selects nothing; it resolves and factors only on literals
+    that no other literal of the clause exceeds in the Knuth-Bendix
+    ordering (kbo_greater).  Every resolution thus pairs a selected
+    negative literal with a maximal literal of an all-positive clause,
+    and only all-positive clauses factor.
 
     The calculus asks for maximality after the unifier is applied.
     Because the ordering is stable under substitution, a literal that is
     smaller than another one before unification stays smaller after it,
     so this test before unification admits every inference the calculus
-    needs (and a few more).  The calculus is refutationally complete
-    together with tautology deletion and forward subsumption, which are
-    the only simplifications the loop performs.
+    needs (and a few more).  Any choice of one negative literal keeps
+    the calculus refutationally complete, and so do the simplifications
+    the loop performs: tautology deletion, forward unit deletion and
+    forward subsumption.
     """
     literals = c.literals
+    selected = -1
+    best = (-1, -1)
     for i, lit in enumerate(literals):
         if not lit.positive:
-            return (i,)
+            key = (precedence[lit.pred], lit._weight)
+            if key > best:
+                selected, best = i, key
+    if selected >= 0:
+        return (selected,)
     return tuple(
         i
         for i, lit in enumerate(literals)
@@ -726,6 +745,10 @@ class Prover:
         self.occurrences: dict[tuple[bool, str], list[tuple[int, int]]] = {}
         # literals built by resolvents, by (sign, predicate, args)
         self.literal_table: dict[tuple, Literal] = {}
+        # kept unit clauses: ground ones by the literal they refute, the
+        # others by the (sign, predicate) of the literals they can refute
+        self.ground_units: dict[Literal, int] = {}
+        self.nonground_units: dict[tuple[bool, str], list[tuple[int, Literal]]] = {}
         self.result: SaturationResult | None = self._intake(inputs)
 
     def out_of_time(self) -> bool:
@@ -747,7 +770,65 @@ class Prover:
         self.clauses[cid] = stored
         self.queue.push(cid, stored.weight())
         self.subsumption.add(stored)
+        if len(stored.literals) == 1:
+            unit = stored.literals[0]
+            if unit.has_var:
+                key = (not unit.positive, unit.pred)
+                self.nonground_units.setdefault(key, []).append((cid, unit))
+            else:
+                self.ground_units.setdefault(unit.negate(), cid)
         return step
+
+    def _refuting_unit(self, lit: Literal) -> int | None:
+        """Id of a kept unit {M} whose negation matches onto lit, if any."""
+        uid = self.ground_units.get(lit)
+        if uid is not None:
+            return uid
+        for uid, unit in self.nonground_units.get((lit.positive, lit.pred), ()):
+            if _match_args(unit.args, lit.args, {}, []):
+                return uid
+        return None
+
+    def _unit_deletions(self, c: Clause) -> tuple[Clause, list[tuple[int, int]]]:
+        """c without the literals that kept units refute, and the cuts made.
+
+        Each cut is (position in c, id of the unit).  Deleting L from c
+        by the unit {M} is the resolvent of c and {M} on L, since M
+        matches onto the complement of L without instantiating c.  The
+        result serves the subsumption test; _record_deletions builds the
+        clause that is kept, with its steps.
+        """
+        cuts: list[tuple[int, int]] = []
+        for k, lit in enumerate(c.literals):
+            uid = self._refuting_unit(lit)
+            if uid is not None:
+                cuts.append((k, uid))
+        if not cuts:
+            return c, cuts
+        cut = {k for k, _ in cuts}
+        return Clause([lit for k, lit in enumerate(c.literals) if k not in cut]), cuts
+
+    def _record_deletions(
+        self, c: Clause, rule: Rule, cuts: list[tuple[int, int]]
+    ) -> tuple[Clause, Rule]:
+        """Store c and each unit deletion as steps; returns the last clause.
+
+        c is renamed apart first: a non-ground unit may share variable
+        names with a clause derived from it, and the recorded matcher
+        would then instantiate c as well.
+        """
+        current = rename_clause(c, self.supply)
+        for done, (k, uid) in enumerate(cuts):
+            sid = self.next_id
+            self.next_id += 1
+            self.steps[sid] = Step(sid, current, rule)
+            at = k - done
+            unit = self.clauses[uid]
+            bindings: dict[str, Term] = {}
+            _match_args(unit.literals[0].args, current.literals[at].args, bindings, [])
+            current = _resolvent(current, at, unit, 0, {}, self.literal_table)
+            rule = Resolution((sid, uid), (at, 0), Substitution(bindings))
+        return current, rule
 
     def extract(self, root: int) -> Derivation:
         needed: set[int] = set()
@@ -851,15 +932,20 @@ class Prover:
                     return ResourceOut("clause-limit", self.generated)
                 if self.generated % 256 == 0 and self.out_of_time():
                     return ResourceOut("time-limit", self.generated)
-                if not clause.is_empty() and self.is_redundant(clause):
+                if clause.is_tautology():
+                    continue
+                simplified, cuts = self._unit_deletions(clause)
+                if simplified.literals and self.subsumption.subsumed(simplified):
                     continue
                 is_factoring, parents, positions, mgu = payload
                 if is_factoring:
                     rule: Rule = Factoring(parents, positions, Substitution(mgu))
                 else:
                     rule = Resolution(parents, positions, Substitution(mgu))
-                step = self.keep(clause, rule)
-                if clause.is_empty():
+                if cuts:
+                    simplified, rule = self._record_deletions(clause, rule, cuts)
+                step = self.keep(simplified, rule)
+                if simplified.is_empty():
                     return Refutation(self.extract(step.id), self.generated)
         return Saturated(self.generated)
 

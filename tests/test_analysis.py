@@ -256,6 +256,23 @@ def test_extract_mus_on_the_twelve_hypotheses(all_twelve):
         assert all(evaluate(model, f) for f in rest)
 
 
+def test_mus7_is_a_third_minimal_core(hypotheses):
+    """{ax4, ax5, ax6, ax7, ax9, ax11, ax12} is refuted and needs every member.
+
+    It is neither the six nor the core that deletion finds on the twelve,
+    and no single deletion from it stays refutable: each has a model.
+    """
+    labels = ["ax4", "ax5", "ax6", "ax7", "ax9", "ax11", "ax12"]
+    units = [hypotheses[l] for l in labels]
+    report = extract_mus(units)
+    assert report.core == labels
+    assert verify_verdict(Verdict("Unsatisfiable", report.refutation, RunStats()), units)
+    for dropped, model in report.deletions.items():
+        assert model is not None, f"deletion of {dropped} was not certified"
+        rest = [u.formula for u in units if u.label != dropped]
+        assert all(evaluate(model, f) for f in rest)
+
+
 def test_extract_mus_deletion_models_satisfy_remaining_axioms():
     units = units_of("fof(p1, axiom, p).\nfof(p2, axiom, ~p).\nfof(q1, axiom, q).")
     report = extract_mus(units)

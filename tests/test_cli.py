@@ -47,6 +47,8 @@ def test_config_requires_exactly_one_source():
     [
         {"max_model_size": 0},
         {"time_limit_seconds": 0.0},
+        {"time_limit_seconds": float("nan")},
+        {"time_limit_seconds": float("inf")},
         {"clause_limit": 0},
     ],
 )
@@ -231,6 +233,20 @@ def test_missing_file_is_an_input_error(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+def test_directory_is_an_input_error(tmp_path, capsys):
+    assert run(RunConfig("prove", path=str(tmp_path))) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.p"
+    path.write_bytes(b"\xfffof(a, axiom, p).\n")
+    assert run(RunConfig("prove", path=str(path))) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 def test_parse_error_is_an_input_error(tmp_path, capsys):
     path = write_problem(tmp_path, "fof(a, axiom, p & | q).")
     assert run(RunConfig("prove", path=path)) == EXIT_INPUT
@@ -313,3 +329,10 @@ def test_main_runs_asylum_subset(capsys):
 def test_main_rejects_bad_flag_values(capsys):
     assert main(["prove", "x.p", "--max-size", "0"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_main_rejects_a_time_limit_that_never_runs_out(capsys, value):
+    argv = ["asylum", "consistency", "--subset", "ax4,ax5", "--time-limit", value]
+    assert main(argv) == EXIT_INPUT
+    assert "--time-limit must be finite and positive" in capsys.readouterr().err

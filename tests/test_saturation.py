@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from folkit.syntax import App, Var
+from folkit.syntax import App, Substitution, Var
 from folkit.analysis import saturation_inputs
 from folkit.clausal import Clause, Literal, clause_str, clausify
 from folkit.saturation import (
@@ -17,6 +17,7 @@ from folkit.saturation import (
     OccursCheckFailure,
     Prover,
     Refutation,
+    Resolution,
     ResourceOut,
     Saturated,
     _args_mgu,
@@ -353,8 +354,8 @@ def test_prover_steps_in_slices_match_saturate(reduced_six, slice_size):
 @pytest.mark.parametrize(
     "labels, generated, steps",
     [
-        (["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"], 3_697, 80),
-        ([f"ax{k}" for k in range(1, 13)], 37_359, 78),
+        (["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"], 2_819, 86),
+        ([f"ax{k}" for k in range(1, 13)], 1_898, 75),
     ],
     ids=["six", "twelve"],
 )
@@ -550,6 +551,118 @@ def test_eligible_literals_are_selected_or_maximal():
     assert _eligible_indices(positive, _PRECEDENCE) == (1,)
     incomparable = Clause([Literal(True, "p", (X,)), Literal(True, "p", (Y,))])
     assert _eligible_indices(incomparable, _PRECEDENCE) == (0, 1)
+
+
+def test_selection_takes_the_highest_ranked_negative_predicate():
+    # q ranks above p, whatever the order, weight or sign of the others
+    assert _eligible_indices(
+        Clause([Literal(False, "p", (f(f(X)),)), Literal(False, "q", (X, a)),
+                Literal(True, "q", (a, b))]),
+        _PRECEDENCE,
+    ) == (1,)
+    # among literals of one predicate, the heavier one
+    assert _eligible_indices(
+        Clause([Literal(False, "p", (X,)), Literal(False, "p", (f(X),))]),
+        _PRECEDENCE,
+    ) == (1,)
+    # and among equally heavy ones, the leftmost
+    assert _eligible_indices(
+        Clause([Literal(False, "p", (a,)), Literal(False, "p", (X,))]),
+        _PRECEDENCE,
+    ) == (0,)
+
+
+# -- forward unit deletion ------------------------------------------------------
+
+def _deletion_prover():
+    """A prover holding ~q(X), ~r(Y) and q(Z) | q(f(Z)) | r(Z), unsaturated.
+
+    Resolving q(Z) against ~q(X) gives q(f(X)) | r(X): a clause derived
+    from the unit ~q(X) that shares its variable, and whose literals the
+    two units refute in turn.
+    """
+    inputs = [
+        Clause([Literal(False, "q", (X,))], ("unit_q",)),
+        Clause([Literal(False, "r", (Y,))], ("unit_r",)),
+        Clause([Literal(True, "q", (Z,)), Literal(True, "q", (f(Z),)),
+                Literal(True, "r", (Z,))], ("big",)),
+    ]
+    prover = Prover(inputs)
+    unit_q, big = prover.clauses[1], prover.clauses[3]
+    mgu = _args_mgu(big.literals[0], unit_q.literals[0])
+    derived = _resolvent(big, 0, unit_q, 0, mgu, {})
+    assert derived.variables() == unit_q.variables()
+    return inputs, prover, derived, Resolution((3, 1), (0, 0), Substitution(mgu))
+
+
+def test_unit_deletion_steps_pass_the_checker():
+    inputs, prover, derived, rule = _deletion_prover()
+    simplified, cuts = prover._unit_deletions(derived)
+    assert simplified.is_empty()
+    assert cuts == [(0, 1), (1, 2)]
+    last, last_rule = prover._record_deletions(derived, rule, cuts)
+    step = prover.keep(last, last_rule)
+    derivation = prover.extract(step.id)
+    assert derivation.is_refutation()
+    assert check_derivation(derivation, inputs)
+    deletions = [s for s in derivation.steps if s.id > 3]
+    # the derived clause, then one step per deleted literal; the second
+    # deletion sits at position 0 once the first literal is gone
+    assert [len(s.clause.literals) for s in deletions] == [2, 1, 0]
+    assert [s.rule.positions for s in deletions[1:]] == [(0, 0), (0, 0)]
+
+
+def test_unit_deletion_keeps_the_rest_of_a_clause():
+    _, prover, _, _ = _deletion_prover()
+    c = Clause([Literal(True, "p", (X,)), Literal(True, "q", (g(X, a),))])
+    simplified, cuts = prover._unit_deletions(c)
+    assert clause_str(simplified) == "p(X)"
+    assert cuts == [(1, 1)]
+    untouched = Clause([Literal(False, "q", (X,)), Literal(True, "s", ())])
+    assert prover._unit_deletions(untouched) == (untouched, [])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda rule: dataclasses.replace(rule, positions=(1, 0)),
+        lambda rule: dataclasses.replace(rule, mgu=Substitution({})),
+    ],
+    ids=["position", "mgu"],
+)
+def test_checker_rejects_a_tampered_unit_deletion(tamper):
+    inputs, prover, derived, rule = _deletion_prover()
+    _, cuts = prover._unit_deletions(derived)
+    last, last_rule = prover._record_deletions(derived, rule, cuts)
+    steps = prover.extract(prover.keep(last, last_rule).id).steps
+    # steps 1-3 are the inputs, 4 the derived clause, 5 its first deletion
+    victim = steps[4]
+    assert victim.id == 5 and victim.rule.parents == (4, 1)
+    steps[4] = dataclasses.replace(victim, rule=tamper(victim.rule))
+    verdict = check_derivation(Derivation(steps), inputs)
+    assert not verdict
+    assert verdict.failed_step == victim.id
+
+
+def test_search_deletes_a_literal_that_resolution_would_not_touch():
+    """q(a) is not maximal in q(a) | t(f(f(a))), so only a unit deletes it."""
+    inputs = [
+        Clause([Literal(True, "p", (a,))]),
+        Clause([Literal(False, "q", (X,))]),
+        Clause([Literal(False, "p", (Y,)), Literal(True, "q", (Y,)),
+                Literal(True, "t", (f(f(Y)),))]),
+        Clause([Literal(False, "t", (Z,))]),
+    ]
+    result = saturate(inputs)
+    assert isinstance(result, Refutation)
+    assert check_derivation(result.derivation, inputs)
+    clauses = {s.id: clause_str(s.clause) for s in result.derivation.steps}
+    cuts = [
+        (clauses[s.rule.parents[0]], clauses[s.rule.parents[1]], clauses[s.id])
+        for s in result.derivation.steps
+        if isinstance(s.rule, Resolution)
+    ]
+    assert ("q(a) | t(f(f(a)))", "~q(X0)", "t(f(f(a)))") in cuts, cuts
 
 
 # -- completeness of the ordering restriction ---------------------------------
