@@ -193,7 +193,8 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: no such file: {config.path}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"error: cannot read {config.path}: {exc.strerror}", file=sys.stderr)
+        reason = exc.strerror or exc
+        print(f"error: cannot read {config.path}: {reason}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"error: {config.path} is not UTF-8 text: {exc.reason}"
