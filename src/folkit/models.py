@@ -331,7 +331,7 @@ ModelSearchResult = Union[Model, NoModelUpTo, ResourceOut]
 
 
 class ModelSearch:
-    """Resumable search for a finite model at sizes 1..max_size.
+    """Resumable search for a finite model at sizes 1..max_size, ascending.
 
     step() runs a bounded number of solver conflicts and returns None
     while undecided, so callers can interleave model search with other
@@ -339,6 +339,11 @@ class ModelSearch:
     The time limit counts from construction: once it has passed, step()
     runs no further solver slice, and a grounding that runs past it is
     cut short; either way the search ends as ResourceOut("time-limit").
+    Sizes go up by one, so a caller that interleaves this search with
+    saturation pays for the cheap small sizes first.  find_model instead
+    doubles the size when no clause has a positive equality literal:
+    models of such clauses are closed upward in size, so a size without
+    a model rules out every smaller size too (see _DoublingSearch).
     """
 
     def __init__(
@@ -361,15 +366,23 @@ class ModelSearch:
         self.sizes_tried: list[int] = []
         self.done: ModelSearchResult | None = None
 
-    def _next_size(self) -> ModelSearchResult | None:
-        """Ground the next size for the solver; a result if the search ends."""
+    def _next_size(self, found: Model | None = None) -> ModelSearchResult | None:
+        """Ground the next size for the solver; a result if the search ends.
+
+        found is the model of the size just solved, None if it has none.
+        """
+        if found is not None:
+            return found
         if self.size >= self.max_size:
             return NoModelUpTo(self.max_size)
-        self.size += 1
-        self.sizes_tried.append(self.size)
+        return self._ground(self.size + 1)
+
+    def _ground(self, size: int) -> ModelSearchResult | None:
+        self.size = size
+        self.sizes_tried.append(size)
         try:
             problem, self.table = ground(
-                self.clauses, self.size, self.signature, deadline=self.deadline
+                self.clauses, size, self.signature, deadline=self.deadline
             )
         except TimeoutError:
             return ResourceOut("time-limit")
@@ -393,6 +406,7 @@ class ModelSearch:
         verdict = self.solver.solve(max_conflicts=max_conflicts)
         if verdict is None:
             return None
+        found = None
         if verdict:
             interp = decode(self.table, self.solver.assignment())
             for unit in self.units:
@@ -400,11 +414,52 @@ class ModelSearch:
                     raise RuntimeError(
                         f"decoded size-{self.size} model fails unit {unit.label}"
                     )
-            self.done = Model(interp)
-            return self.done
+            found = Model(interp)
         self.solver = None
-        self.done = self._next_size()
+        self.done = self._next_size(found)
         return self.done
+
+
+class _DoublingSearch(ModelSearch):
+    """Sizes 1, 2, 4, ... up to max_size when models are closed upward.
+
+    Without a positive equality literal among the clauses, a model of
+    size n gives one of size n+1: copy any element.  Each literal
+    without equality keeps its truth value on the copy, and a negative
+    equality literal can only turn true.  So no model at size s means
+    none at any size up to s.  Once the size doubled to has a model,
+    the sizes between the last one without a model and it are tried in
+    ascending order, and the first model found is returned, so the
+    result is the ascending search's, model included.  A clause set
+    with a positive equality literal is searched in ascending order.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.closed_upward = not any(
+            lit.positive and lit.pred == EQ
+            for clause in self.clauses
+            for lit in clause.literals
+        )
+        self.floor = 0  # every size up to floor has no model
+        self.above: Model | None = None  # a model at a larger size
+
+    def _next_size(self, found: Model | None = None) -> ModelSearchResult | None:
+        if not self.closed_upward:
+            return super()._next_size(found)
+        if found is not None:
+            if self.size == self.floor + 1:
+                return found
+            self.above = found
+            return self._ground(self.floor + 1)
+        self.floor = self.size
+        if self.above is not None:
+            if self.size + 1 == self.above.interpretation.size:
+                return self.above
+            return self._ground(self.size + 1)
+        if self.size >= self.max_size:
+            return NoModelUpTo(self.max_size)
+        return self._ground(min(max(1, 2 * self.size), self.max_size))
 
 
 def find_model(
@@ -412,11 +467,16 @@ def find_model(
     max_size: int = 8,
     limits: "Limits | None" = None,
 ) -> ModelSearchResult:
-    """Search sizes 1..max_size for a model of the units.
+    """The smallest model of the units of size at most max_size, if any.
 
-    Past the time limit, grounding or solving ends in ResourceOut("time-limit").
+    When no clause has a positive equality literal, models are closed
+    upward in size, and the search tries sizes 1, 2, 4, ... up to
+    max_size, then fills in below the first size with a model; see
+    _DoublingSearch.  Otherwise it tries 1..max_size in order.  Either
+    way the result is the one the ascending search gives.  Past the
+    time limit, grounding or solving ends in ResourceOut("time-limit").
     """
-    search = ModelSearch(units, max_size, limits)
+    search = _DoublingSearch(units, max_size, limits)
     while True:
         result = search.step(max_conflicts=4000)
         if result is not None:

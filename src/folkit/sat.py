@@ -11,6 +11,7 @@ reading a literal's value is a single list lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence, Union
 
 
@@ -62,6 +63,12 @@ class CdclSolver:
     resumed later.  Branching picks the unassigned variable of highest
     activity (ties to the lowest index) and tries polarity false first.
     Restarts follow a geometric schedule: 100 conflicts, growing by 1.5.
+    The branching order is a lazy heap of (-activity, variable) entries.
+    queued[v] says the heap holds an entry with v's current activity.
+    Only assigned variables are bumped, which clears the flag, and
+    _backtrack pushes each variable it frees whose flag is clear, so
+    every unassigned variable has a current entry.  Entries of assigned
+    variables or older activities are dropped when they surface.
 
     Values and watch lists are indexed by literal: a list of length 2n+1
     holds the entry of literal l at index l, so a negative literal reads
@@ -85,6 +92,8 @@ class CdclSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.activity: list[float] = [0.0] * (n + 1)
+        self.order: list[tuple[float, int]] = [(-0.0, v) for v in range(1, n + 1)]
+        self.queued: list[bool] = [True] * (n + 1)
         self.var_inc = 1.0
         self.qhead = 0
         self.conflicts = 0
@@ -191,11 +200,17 @@ class CdclSolver:
         return None
 
     def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        activity = self.activity
+        activity[var] += self.var_inc
+        self.queued[var] = False
+        if activity[var] > 1e100:
             for v in range(1, self.n + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            vals = self.vals
+            self.queued = [False] + [vals[v] == 0 for v in range(1, self.n + 1)]
+            self.order = [(-activity[v], v) for v in range(1, self.n + 1) if vals[v] == 0]
+            heapify(self.order)
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
@@ -248,24 +263,33 @@ class CdclSolver:
         bound = self.trail_lim[target]
         vals = self.vals
         reason = self.reason
+        activity = self.activity
+        order = self.order
+        queued = self.queued
         for lit in reversed(self.trail[bound:]):
+            var = lit if lit > 0 else -lit
             vals[lit] = 0
             vals[-lit] = 0
-            reason[abs(lit)] = None
+            reason[var] = None
+            if not queued[var]:
+                queued[var] = True
+                heappush(order, (-activity[var], var))
         del self.trail[bound:]
         del self.trail_lim[target:]
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self) -> int:
-        best = 0
-        best_act = -1.0
-        activity = self.activity
+        """The unassigned variable of highest activity, lowest index on ties; 0 if none."""
+        order = self.order
         vals = self.vals
-        for var in range(1, self.n + 1):
-            if vals[var] == 0 and activity[var] > best_act:
-                best = var
-                best_act = activity[var]
-        return best
+        activity = self.activity
+        while order:
+            key, var = heappop(order)
+            if -key == activity[var]:
+                self.queued[var] = False
+                if vals[var] == 0:
+                    return var
+        return 0
 
     def solve(self, max_conflicts: int | None = None) -> bool | None:
         """True = satisfiable, False = unsatisfiable, None = budget out."""

@@ -388,8 +388,17 @@ SaturationResult = Union[Refutation, Saturated, ResourceOut]
 
 @dataclass
 class Limits:
+    """Resource bounds; None lifts a bound.  0 seconds runs out at once."""
+
     max_clauses: int | None = 10**6
     max_seconds: float | None = 60.0
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it would never run out
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError("max_seconds must be a number of seconds, at least 0")
+        if self.max_clauses is not None and self.max_clauses < 0:
+            raise ValueError("max_clauses must be at least 0")
 
 
 def _variant_map(a: Clause, b: Clause) -> bool:

@@ -301,6 +301,97 @@ def test_model_search_is_deterministic(hypotheses):
     assert first.interpretation == second.interpretation
 
 
+def test_find_model_ascends_when_a_clause_has_positive_equality(monkeypatch):
+    """Only size 3 has a model, so sizes 4 and 8 would both say no model."""
+    text = (
+        "fof(ab, axiom, a != b).\n"
+        "fof(ac, axiom, a != c).\n"
+        "fof(bc, axiom, b != c).\n"
+        "fof(three, axiom, ![X] : (X = a | X = b | X = c)).\n"
+    )
+    sizes = []
+    real = folkit.models.ground
+
+    def recording(clauses, n, *args, **kwargs):
+        sizes.append(n)
+        return real(clauses, n, *args, **kwargs)
+
+    monkeypatch.setattr(folkit.models, "ground", recording)
+    result = find_model(parse_tptp(text).units, max_size=8)
+    assert isinstance(result, Model)
+    assert result.interpretation.size == 3
+    assert sizes == [1, 2, 3]
+
+
+def random_units_without_positive_equality(rng: random.Random) -> list[NamedFormula]:
+    """Quantified disjunctions over p/1, q/2, f/1 and a, b, c; = only in !=."""
+    constants = ["a", "b", "c"]
+
+    def term(variables):
+        roll = rng.random()
+        if roll < 0.15:
+            return f"f({term(variables)})"
+        if variables and roll < 0.6:
+            return rng.choice(variables)
+        return rng.choice(constants)
+
+    def literal(variables):
+        roll = rng.random()
+        if roll < 0.3:
+            return f"{term(variables)} != {term(variables)}"
+        sign = "~" if rng.random() < 0.5 else ""
+        if roll < 0.65:
+            return f"{sign}p({term(variables)})"
+        return f"{sign}q({term(variables)}, {term(variables)})"
+
+    lines = []
+    for i in range(rng.randint(2, 5)):
+        variables = ["X", "Y"][: rng.randint(0, 2)]
+        body = " | ".join(literal(variables) for _ in range(rng.randint(1, 3)))
+        if variables:
+            quantifier = "!" if rng.random() < 0.7 else "?"
+            body = f"{quantifier}[{', '.join(variables)}] : ({body})"
+        lines.append(f"fof(u{i}, axiom, {body}).")
+    # distinct constants push the smallest model up to size 2 or 3
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    for i, (lhs, rhs) in enumerate(rng.sample(pairs, rng.randint(0, 3))):
+        lines.append(f"fof(d{i}, axiom, {lhs} != {rhs}).")
+    return parse_tptp("\n".join(lines)).units
+
+
+def test_doubling_search_agrees_with_the_ascending_search():
+    """Same result type, model size and model text as sizes 1..5 in order."""
+    rng = random.Random(1309)
+    outcomes = set()
+    for _ in range(100):
+        units = random_units_without_positive_equality(rng)
+        assert not any(
+            lit.positive and lit.pred == "=" for c in clausify(units) for lit in c.literals
+        )
+        search = ModelSearch(units, max_size=5)
+        expected = None
+        while expected is None:
+            expected = search.step()
+        result = find_model(units, max_size=5)
+        assert type(result) is type(expected), units
+        if isinstance(expected, Model):
+            assert format_interpretation(result.interpretation) == format_interpretation(
+                expected.interpretation
+            ), units
+            outcomes.add(expected.interpretation.size)
+        else:
+            assert result == expected == NoModelUpTo(5)
+            outcomes.add(None)
+    assert {1, 2, 3, None} <= outcomes
+
+
+def test_interleaved_hunter_still_ascends(reduced_six):
+    """check_consistency's model search tries every size until saturation refutes."""
+    verdict = folkit.check_consistency(reduced_six, limits=folkit.Limits(max_seconds=10.0))
+    assert verdict.status == "Unsatisfiable"
+    assert verdict.stats.domain_sizes_tried == [1, 2, 3, 4]
+
+
 # -- text output --------------------------------------------------------------
 
 def test_format_interpretation_layout():

@@ -337,6 +337,19 @@ def test_saturate_respects_time_limit(reduced_six):
     assert result.reason == "time-limit"
 
 
+@pytest.mark.parametrize(
+    "fields", [{"max_seconds": float("nan")}, {"max_seconds": -1.0}, {"max_clauses": -1}]
+)
+def test_limits_reject_nan_and_negative_bounds(fields):
+    with pytest.raises(ValueError):
+        Limits(**fields)
+
+
+def test_limits_accept_zero_and_unbounded():
+    assert Limits(max_clauses=0, max_seconds=0.0).max_seconds == 0.0
+    assert Limits(max_clauses=None, max_seconds=None).max_clauses is None
+
+
 @pytest.mark.parametrize("slice_size", [1, 50])
 def test_prover_steps_in_slices_match_saturate(reduced_six, slice_size):
     clauses = clausify(reduced_six)
