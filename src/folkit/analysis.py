@@ -25,6 +25,7 @@ from .saturation import (
     format_derivation,
 )
 from .models import (
+    DEFAULT_MAX_MODEL_SIZE,
     Interpretation,
     Model,
     ModelSearch,
@@ -40,7 +41,6 @@ STATUSES = ("Unsatisfiable", "Satisfiable", "Theorem", "CounterSatisfiable", "Un
 _SELECTION_SLICE = 50
 _CONFLICT_SLICE = 2000
 
-DEFAULT_MAX_MODEL_SIZE = 8
 CERTIFICATION_SIZE = 4
 
 
@@ -300,7 +300,7 @@ def format_verdict(verdict: Verdict, signature: Signature | None = None) -> str:
     return text
 
 
-def format_mus_report(report: MusReport, signature: Signature | None = None) -> str:
+def format_mus_report(report: MusReport) -> str:
     """Core label line plus one certification line per deletion."""
     lines = ["core: " + " ".join(report.core)]
     bounded = False

@@ -1,9 +1,10 @@
 """Clausal form: literals, clauses, and the CNF transformation.
 
-clausify() turns closed formulas into an equisatisfiable clause set via
-simplification, negation normal form, rectification, Skolemization and
-distribution.  Equality is handled by axiomatization (equality_axioms),
-not by paramodulation.
+clausify() turns closed formulas into an equisatisfiable clause set in
+four walks: negation normal form, which also evaluates $true/$false
+away; Skolemization, which also gives every universal binder its own
+name; stripping the universals; and distribution.  Equality is handled
+by axiomatization (equality_axioms), not by paramodulation.
 """
 
 from __future__ import annotations
@@ -247,62 +248,17 @@ def rename_clauses_apart(clauses: Iterable[Clause]) -> list[Clause]:
 
 
 # ---------------------------------------------------------------------------
-# Formula simplification and NNF
+# NNF
 # ---------------------------------------------------------------------------
 
-def simplify(f: Formula) -> Formula:
-    """Evaluate away $true/$false subformulas."""
-    if isinstance(f, Not):
-        sub = simplify(f.sub)
-        if isinstance(sub, Truth):
-            return FALSE
-        if isinstance(sub, Falsity):
-            return TRUE
-        return Not(sub)
-    if isinstance(f, And):
-        lhs, rhs = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(lhs, Falsity) or isinstance(rhs, Falsity):
-            return FALSE
-        if isinstance(lhs, Truth):
-            return rhs
-        if isinstance(rhs, Truth):
-            return lhs
-        return And(lhs, rhs)
-    if isinstance(f, Or):
-        lhs, rhs = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(lhs, Truth) or isinstance(rhs, Truth):
-            return TRUE
-        if isinstance(lhs, Falsity):
-            return rhs
-        if isinstance(rhs, Falsity):
-            return lhs
-        return Or(lhs, rhs)
-    if isinstance(f, Implies):
-        lhs, rhs = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(lhs, Falsity) or isinstance(rhs, Truth):
-            return TRUE
-        if isinstance(lhs, Truth):
-            return rhs
-        if isinstance(rhs, Falsity):
-            return simplify(Not(lhs))
-        return Implies(lhs, rhs)
-    if isinstance(f, Iff):
-        lhs, rhs = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(lhs, Truth):
-            return rhs
-        if isinstance(rhs, Truth):
-            return lhs
-        if isinstance(lhs, Falsity):
-            return simplify(Not(rhs))
-        if isinstance(rhs, Falsity):
-            return simplify(Not(lhs))
-        return Iff(lhs, rhs)
-    if isinstance(f, (Forall, Exists)):
-        body = simplify(f.body)
-        if isinstance(body, (Truth, Falsity)):
-            return body
-        return type(f)(f.var, body)
-    return f
+def _join(ctor, lhs: Formula, rhs: Formula) -> Formula:
+    """ctor(lhs, rhs) for ctor And or Or, with $true and $false evaluated away."""
+    absorbing, neutral = (Falsity, Truth) if ctor is And else (Truth, Falsity)
+    if isinstance(rhs, absorbing) or isinstance(lhs, neutral):
+        return rhs
+    if isinstance(lhs, absorbing) or isinstance(rhs, neutral):
+        return lhs
+    return ctor(lhs, rhs)
 
 
 def _nnf(f: Formula, positive: bool) -> Formula:
@@ -316,77 +272,42 @@ def _nnf(f: Formula, positive: bool) -> Formula:
         return _nnf(f.sub, not positive)
     if isinstance(f, And):
         ctor = And if positive else Or
-        return ctor(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
+        return _join(ctor, _nnf(f.lhs, positive), _nnf(f.rhs, positive))
     if isinstance(f, Or):
         ctor = Or if positive else And
-        return ctor(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
+        return _join(ctor, _nnf(f.lhs, positive), _nnf(f.rhs, positive))
     if isinstance(f, Implies):
         if positive:
-            return Or(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return And(_nnf(f.lhs, True), _nnf(f.rhs, False))
+            return _join(Or, _nnf(f.lhs, False), _nnf(f.rhs, True))
+        return _join(And, _nnf(f.lhs, True), _nnf(f.rhs, False))
     if isinstance(f, Iff):
         if positive:
-            return And(
-                Or(_nnf(f.lhs, False), _nnf(f.rhs, True)),
-                Or(_nnf(f.rhs, False), _nnf(f.lhs, True)),
+            return _join(
+                And,
+                _join(Or, _nnf(f.lhs, False), _nnf(f.rhs, True)),
+                _join(Or, _nnf(f.rhs, False), _nnf(f.lhs, True)),
             )
-        return Or(
-            And(_nnf(f.lhs, True), _nnf(f.rhs, False)),
-            And(_nnf(f.lhs, False), _nnf(f.rhs, True)),
+        return _join(
+            Or,
+            _join(And, _nnf(f.lhs, True), _nnf(f.rhs, False)),
+            _join(And, _nnf(f.lhs, False), _nnf(f.rhs, True)),
         )
+    body = _nnf(f.body, positive)
+    if isinstance(body, (Truth, Falsity)):
+        return body
     if isinstance(f, Forall):
-        ctor = Forall if positive else Exists
-        return ctor(f.var, _nnf(f.body, positive))
+        return (Forall if positive else Exists)(f.var, body)
     assert isinstance(f, Exists)
-    ctor = Exists if positive else Forall
-    return ctor(f.var, _nnf(f.body, positive))
+    return (Exists if positive else Forall)(f.var, body)
 
 
 def nnf(f: Formula) -> Formula:
-    """Negation normal form; Iff expands by polarity."""
-    return _nnf(simplify(f), True)
+    """Negation normal form; Iff expands by polarity.
 
-
-def rectify(f: Formula) -> Formula:
-    """Rename bound variables so every binder binds a distinct name."""
-    used: set[str] = set()
-
-    def fresh(base: str) -> str:
-        if base not in used:
-            used.add(base)
-            return base
-        i = 1
-        while f"{base}_{i}" in used:
-            i += 1
-        name = f"{base}_{i}"
-        used.add(name)
-        return name
-
-    def walk_term(t: Term, env: Mapping[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        assert isinstance(t, App)
-        if not t.args:
-            return t
-        return App(t.op, tuple(walk_term(a, env) for a in t.args))
-
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(walk_term(a, env) for a in g.args))
-        if isinstance(g, Equal):
-            return Equal(walk_term(g.lhs, env), walk_term(g.rhs, env))
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (Forall, Exists)):
-            new = fresh(g.var)
-            inner = dict(env)
-            inner[g.var] = new
-            return type(g)(new, walk(g.body, inner))
-        return g
-
-    return walk(f, {})
+    $true and $false are evaluated away, so the result is either a
+    constant or a formula without one.
+    """
+    return _nnf(f, True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,39 +334,53 @@ class SkolemSupply:
                 return name
 
 
+def _fresh_variable(base: str, used: set[str]) -> Var:
+    """base, or else base_1, base_2, ...: the first name not in used."""
+    name, i = base, 0
+    while name in used:
+        i += 1
+        name = f"{base}_{i}"
+    used.add(name)
+    return Var(name)
+
+
 def _skolemize(f: Formula, universals: tuple[Var, ...], env: dict[str, Term],
-               supply: SkolemSupply) -> Formula:
+               supply: SkolemSupply, used: set[str]) -> Formula:
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(apply_to_term(env, a) for a in f.args))
     if isinstance(f, Equal):
         return Equal(apply_to_term(env, f.lhs), apply_to_term(env, f.rhs))
     if isinstance(f, Not):
-        return Not(_skolemize(f.sub, universals, env, supply))
+        return Not(_skolemize(f.sub, universals, env, supply, used))
     if isinstance(f, (And, Or)):
         return type(f)(
-            _skolemize(f.lhs, universals, env, supply),
-            _skolemize(f.rhs, universals, env, supply),
+            _skolemize(f.lhs, universals, env, supply, used),
+            _skolemize(f.rhs, universals, env, supply, used),
         )
     if isinstance(f, Forall):
-        return Forall(f.var, _skolemize(f.body, universals + (Var(f.var),), env, supply))
+        var = _fresh_variable(f.var, used)
+        inner = {**env, f.var: var}
+        return Forall(var.name, _skolemize(f.body, universals + (var,), inner, supply, used))
     if isinstance(f, Exists):
         name = supply.fresh(len(universals))
-        inner = dict(env)
-        inner[f.var] = App(name, universals)
-        return _skolemize(f.body, universals, inner, supply)
+        inner = {**env, f.var: App(name, universals)}
+        return _skolemize(f.body, universals, inner, supply, used)
     return f  # Truth / Falsity
 
 
 def skolemize(f: Formula, sig: Signature | None = None) -> Formula:
     """Replace each ∃y under universals x1..xn by a fresh sk_i(x1..xn).
 
-    f must be closed and in NNF with distinct binders (see rectify).
-    Fresh symbols never collide with symbols of sig (default: the
-    symbols of f itself); sig is extended with the new functions.
+    f must be closed and in NNF; its binders need not be distinct.  Each
+    universal binder is renamed to the first of X, X_1, X_2, ... (for a
+    binder X) that no earlier universal binder of f took, so every
+    universal of the result binds its own name.  Fresh symbols never
+    collide with symbols of sig (default: the symbols of f itself); sig
+    is extended with the new functions.
     """
     if sig is None:
         sig = signature_of([f])
-    return _skolemize(f, (), {}, SkolemSupply(sig))
+    return _skolemize(f, (), {}, SkolemSupply(sig), set())
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +424,7 @@ def clausify_formula(f: Formula, label: str, sig: Signature,
     """CNF of one closed formula; clauses carry the given label."""
     if supply is None:
         supply = SkolemSupply(sig)
-    g = rectify(nnf(f))
-    g = _skolemize(g, (), {}, supply)
+    g = _skolemize(nnf(f), (), {}, supply, set())
     g = _strip_universals(g)
     out: list[Clause] = []
     seen: set[Clause] = set()

@@ -25,7 +25,7 @@ from .tptp import (
     parse_tptp,
 )
 from .saturation import Derivation, Limits, format_derivation
-from .models import Interpretation, Model, NoModelUpTo, find_model
+from .models import DEFAULT_MAX_MODEL_SIZE, Interpretation, Model, NoModelUpTo, find_model
 from .analysis import (
     PreconditionViolated,
     RunStats,
@@ -54,9 +54,9 @@ class RunConfig:
     command: str
     path: str | None = None
     labels: list[str] | None = None
-    max_model_size: int = 8
-    time_limit_seconds: float = 60.0
-    clause_limit: int = 10**6
+    max_model_size: int = DEFAULT_MAX_MODEL_SIZE
+    time_limit_seconds: float = Limits.max_seconds
+    clause_limit: int = Limits.max_clauses
     proof_out: str | None = None
     model_out: str | None = None
     check: bool = False
@@ -214,16 +214,16 @@ def run(config: RunConfig, out=None) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-size", type=int, default=8, metavar="N",
-        help="largest model domain to try (default 8)",
+        "--max-size", type=int, default=DEFAULT_MAX_MODEL_SIZE, metavar="N",
+        help="largest model domain to try (default %(default)s)",
     )
     parser.add_argument(
-        "--time-limit", type=float, default=60.0, metavar="S",
-        help="wall-clock budget in seconds (default 60)",
+        "--time-limit", type=float, default=Limits.max_seconds, metavar="S",
+        help="wall-clock budget in seconds (default %(default)s)",
     )
     parser.add_argument(
-        "--clause-limit", type=int, default=10**6, metavar="N",
-        help="generated-clause budget (default 1000000)",
+        "--clause-limit", type=int, default=Limits.max_clauses, metavar="N",
+        help="generated-clause budget (default %(default)s)",
     )
     parser.add_argument(
         "--proof-out", metavar="PATH", help="write the refutation here"

@@ -34,6 +34,9 @@ from .syntax import (
 from .tptp import NamedFormula
 
 
+DEFAULT_MAX_MODEL_SIZE = 8  # largest domain tried when the caller names none
+
+
 class UnknownSymbolError(KeyError):
     """A formula mentions a symbol the interpretation does not cover."""
 
@@ -349,7 +352,7 @@ class ModelSearch:
     def __init__(
         self,
         units: Iterable[NamedFormula],
-        max_size: int = 8,
+        max_size: int = DEFAULT_MAX_MODEL_SIZE,
         limits: Limits | None = None,
     ):
         if max_size < 1:
@@ -464,7 +467,7 @@ class _DoublingSearch(ModelSearch):
 
 def find_model(
     units: Iterable[NamedFormula],
-    max_size: int = 8,
+    max_size: int = DEFAULT_MAX_MODEL_SIZE,
     limits: "Limits | None" = None,
 ) -> ModelSearchResult:
     """The smallest model of the units of size at most max_size, if any.

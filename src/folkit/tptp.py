@@ -317,50 +317,47 @@ class _Parser:
             return formula
 
     def parse_formula(self) -> Formula:
-        lhs = self.parse_implication()
-        if self.peek().value == "<=>":
-            self.next()
-            rhs = self.parse_implication()
-            tok = self.peek()
-            if tok.value == "<=>":
-                raise ParseError(
-                    "'<=>' is non-associative; use parentheses",
-                    tok.line,
-                    tok.col,
-                )
-            return Iff(lhs, rhs)
-        return lhs
+        """unitary (op unitary)*: `&`/`|` chains group first, then `=>`, then `<=>`.
 
-    def parse_implication(self) -> Formula:
-        lhs = self.parse_or_and()
-        if self.peek().value == "=>":
-            self.next()
-            rhs = self.parse_or_and()
+        One loop for all three levels keeps a parenthesis or quantifier
+        at two Python frames.  Each operator is checked as it is read, so
+        a misplaced one is reported before anything to its right.
+        """
+        iff_lhs = implies_lhs = chain_op = None
+        formula = self.parse_unitary()
+        while True:
             tok = self.peek()
-            if tok.value == "=>":
-                raise ParseError(
-                    "'=>' is non-associative; use parentheses", tok.line, tok.col
-                )
-            return Implies(lhs, rhs)
-        return lhs
-
-    def parse_or_and(self) -> Formula:
-        first = self.parse_unitary()
-        tok = self.peek()
-        if tok.value not in ("&", "|"):
-            return first
-        op = tok.value
-        result = first
-        while self.peek().value == op:
-            self.next()
-            operand = self.parse_unitary()
-            result = And(result, operand) if op == "&" else Or(result, operand)
-        tok = self.peek()
-        if tok.value in ("&", "|"):
-            raise ParseError(
-                "'&' and '|' do not mix; use parentheses", tok.line, tok.col
-            )
-        return result
+            if tok.value in ("&", "|"):
+                if chain_op not in (None, tok.value):
+                    raise ParseError(
+                        "'&' and '|' do not mix; use parentheses", tok.line, tok.col
+                    )
+                chain_op = tok.value
+                self.next()
+                operand = self.parse_unitary()
+                formula = And(formula, operand) if chain_op == "&" else Or(formula, operand)
+            elif tok.value == "=>":
+                if implies_lhs is not None:
+                    raise ParseError(
+                        "'=>' is non-associative; use parentheses", tok.line, tok.col
+                    )
+                implies_lhs, chain_op = formula, None
+                self.next()
+                formula = self.parse_unitary()
+            elif tok.value == "<=>":
+                if iff_lhs is not None:
+                    raise ParseError(
+                        "'<=>' is non-associative; use parentheses", tok.line, tok.col
+                    )
+                iff_lhs = formula if implies_lhs is None else Implies(implies_lhs, formula)
+                implies_lhs = chain_op = None
+                self.next()
+                formula = self.parse_unitary()
+            else:
+                break
+        if implies_lhs is not None:
+            formula = Implies(implies_lhs, formula)
+        return formula if iff_lhs is None else Iff(iff_lhs, formula)
 
     def parse_unitary(self) -> Formula:
         tok = self.peek()

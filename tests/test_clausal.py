@@ -27,6 +27,7 @@ from folkit.clausal import (
     clause_signature,
     clause_str,
     clausify,
+    dump_clauses,
     equality_axioms,
     nnf,
     skolemize,
@@ -143,6 +144,28 @@ def test_clausify_witness_example(hypotheses):
         f"{name} != tarr",
         f"{name} != fether",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("(![X] : p(X)) | (![X] : q(X))", "u: p(X0) | q(X1)\n"),
+        ("![X] : (p(X) & ![X] : q(X))", "u: p(X0)\nu: q(X1)\n"),
+        (
+            "![X] : ?[Y] : (r(X,Y) | ?[Y] : ~r(Y,X))",
+            "u: r(X0,sk0(X0)) | ~r(sk1(X0),X0)\n",
+        ),
+        ("($true => p(a)) & (q(a) <=> $false)", "u: p(a)\nu: ~q(a)\n"),
+        ("~(p(a) | $true) | (![X] : (q(X) & $true))", "u: q(X0)\n"),
+        (
+            "(![X] : p(X)) <=> (?[X] : q(X))",
+            "u: ~p(sk0) | q(sk1)\nu: ~q(X0) | p(X1)\n",
+        ),
+    ],
+)
+def test_clausify_reused_binders_and_constants(text, expected):
+    units = parse_tptp(f"fof(u, axiom, {text}).").units
+    assert dump_clauses(clausify(units)) == expected
 
 
 def test_clause_labels_track_sources(reduced_six):

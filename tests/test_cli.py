@@ -14,6 +14,8 @@ from folkit.cli import (
     main,
     run,
 )
+from folkit.models import DEFAULT_MAX_MODEL_SIZE
+from folkit.saturation import Limits
 from folkit.tptp import MAX_NESTING
 from conftest import DATA_DIR
 
@@ -286,6 +288,31 @@ def test_input_nested_past_the_bound_exits_two(tmp_path, capsys, text):
     assert f"deeper than {MAX_NESTING} levels" in err
 
 
+def _called_from_depth(frames, fn, *args):
+    """fn(*args), called with frames more Python frames below it."""
+    if frames == 0:
+        return fn(*args)
+    return _called_from_depth(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fof(a, axiom, " + "(" * MAX_NESTING + "p" + ")" * MAX_NESTING + ").",
+        "fof(a, axiom, "
+        + "".join(f"![X{i}] : " for i in range(MAX_NESTING - 1))
+        + "p(X0)).",
+    ],
+    ids=["parentheses", "quantifiers"],
+)
+def test_input_at_the_bound_decides_from_deep_in_the_callers_stack(tmp_path, text):
+    # the parser spends two frames per level, so 200 levels fit in the
+    # default 1,000-frame limit with room for a caller's own 250
+    path = write_problem(tmp_path, text)
+    argv = ["consistency", path, "--time-limit", "5"]
+    assert _called_from_depth(250, main, argv) == EXIT_DECISIVE
+
+
 def test_unknown_asylum_label_is_an_input_error(capsys):
     assert run(RunConfig("consistency", labels=["ax99"])) == EXIT_INPUT
     assert "ax99" in capsys.readouterr().err
@@ -317,6 +344,11 @@ def test_parser_builds_expected_namespace():
     assert args.file == "x.p"
     assert args.max_size == 4 and args.time_limit == 10.0
     assert args.clause_limit == 500 and args.check is True
+    defaults = build_parser().parse_args(["prove", "x.p"])
+    assert defaults.max_size == DEFAULT_MAX_MODEL_SIZE
+    assert defaults.time_limit == Limits().max_seconds
+    assert defaults.clause_limit == Limits().max_clauses
+    assert defaults.check is False
 
 
 def test_main_runs_asylum_subset(capsys):
