@@ -25,8 +25,8 @@ def main():
     print(format_derivation(reduced.witness))
 
     print("Extracting a minimal unsatisfiable core from all twelve.")
-    print("Each deletion probe below is certified by a small model,")
-    print("so removing any single member of the core restores consistency.")
+    print("Each deletion probe below found a model of the core minus that")
+    print("member, so removing any single member restores consistency.")
     report = extract_mus(list(hyps.values()), limits=Limits(max_seconds=60.0))
     print(format_mus_report(report))
     print("Note that the core swaps ax8 for ax9: dropping ax8 leaves a set")

@@ -30,7 +30,7 @@ from .models import (
     Model,
     ModelSearch,
     evaluate,
-    find_model,
+    find_model,  # unused here; bench/tracing.py patches analysis.find_model by name
     format_interpretation,
 )
 
@@ -40,8 +40,6 @@ STATUSES = ("Unsatisfiable", "Satisfiable", "Theorem", "CounterSatisfiable", "Un
 # saturation side, solver conflicts on the model side
 _SELECTION_SLICE = 50
 _CONFLICT_SLICE = 2000
-
-CERTIFICATION_SIZE = 4
 
 
 class PreconditionViolated(Exception):
@@ -87,15 +85,14 @@ class Verdict:
 class MusReport:
     """A certified unsatisfiable core and its minimality evidence.
 
-    deletions maps each core label to a model of the core minus that
-    axiom, or to None when no model was found within the certification
-    bound (minimality then holds only modulo that bound).
+    deletions maps each core label to a verified model of the core minus
+    that axiom, or to None when its last probe found neither a
+    refutation nor a model (minimality then is not certified).
     """
 
     core: list[str]
     refutation: Derivation
     deletions: dict[str, Interpretation | None]
-    certification_size: int = CERTIFICATION_SIZE
 
 
 def saturation_inputs(units: list[NamedFormula]) -> list[Clause]:
@@ -232,48 +229,50 @@ def decide_problem(
     return prove_conjecture(axioms, conjecture.formula, limits, max_size)
 
 
-def _refutes(units: list[NamedFormula], limits: Limits, max_size: int) -> Derivation | None:
-    """A checked refutation of the units, or None if none found in bounds."""
-    verdict = _decide(units, limits, max_size)
-    if verdict.status == "Unsatisfiable":
-        assert isinstance(verdict.witness, Derivation)
-        return verdict.witness
-    return None
-
-
 def extract_mus(
     axioms: list[NamedFormula],
     limits: Limits | None = None,
     max_size: int = DEFAULT_MAX_MODEL_SIZE,
-    certification_size: int = CERTIFICATION_SIZE,
 ) -> MusReport:
     """Shrink an unsatisfiable set to a certified core by deletion.
 
-    Axioms are dropped in input order; a deletion sticks when the rest
-    still refutes within the limits, otherwise the axiom is restored.
-    Each single deletion from the final core is then certified
-    Satisfiable by a model of size at most certification_size, or
-    marked Unknown.  Limits apply per probe, not to the whole run.
+    Axioms are probed in input order; a deletion sticks when the rest
+    still refutes.  A probe's model certifies its axiom, since it also
+    satisfies every smaller core without that axiom.  A probe that ends
+    Unknown is asked again once the core is smaller than the set it
+    asked about.  limits.max_seconds is one deadline for the whole run,
+    each probe getting the time left; max_clauses applies per probe.
     """
     limits = limits or Limits()
+    deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
+
+    def probe(units: list[NamedFormula]) -> Verdict:
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        return _decide(units, Limits(limits.max_clauses, left), max_size)
+
     core = list(axioms)
-    refutation = _refutes(core, limits, max_size)
-    if refutation is None:
+    verdict = probe(core)
+    if verdict.status != "Unsatisfiable":
         raise PreconditionViolated(
             "input set was not refuted within the given limits"
         )
-    # the last probe that refuted ran on exactly the current core
-    for axiom in list(core):
-        rest = [a for a in core if a is not axiom]
-        found = _refutes(rest, limits, max_size)
-        if found is not None:
-            core, refutation = rest, found
-    deletions: dict[str, Interpretation | None] = {}
-    for axiom in core:
-        rest = [a for a in core if a is not axiom]
-        found = find_model(rest, max_size=certification_size, limits=limits)
-        deletions[axiom.label] = found.interpretation if isinstance(found, Model) else None
-    return MusReport([a.label for a in core], refutation, deletions, certification_size)
+    refutation = verdict.witness
+    models: dict[str, Interpretation] = {}
+    # uncertified label -> size of the set its last probe asked about (first: the input)
+    asked = {a.label: len(core) for a in core}
+    while todo := [a for a in core if asked.get(a.label, 0) >= len(core)]:
+        for axiom in todo:
+            rest = [a for a in core if a is not axiom]
+            verdict = probe(rest)
+            if verdict.status == "Unsatisfiable":
+                core, refutation = rest, verdict.witness
+            elif verdict.status == "Satisfiable":
+                models[axiom.label] = verdict.witness
+                del asked[axiom.label]
+            else:
+                asked[axiom.label] = len(rest)
+    deletions = {a.label: models.get(a.label) for a in core}
+    return MusReport([a.label for a in core], refutation, deletions)
 
 
 def verify_verdict(verdict: Verdict, units: list[NamedFormula]) -> bool:
@@ -303,20 +302,20 @@ def format_verdict(verdict: Verdict, signature: Signature | None = None) -> str:
 def format_mus_report(report: MusReport) -> str:
     """Core label line plus one certification line per deletion."""
     lines = ["core: " + " ".join(report.core)]
-    bounded = False
+    uncertified = False
     for label in report.core:
         model = report.deletions.get(label)
         if model is None:
-            bounded = True
+            uncertified = True
             lines.append(
                 f"delete {label}: Unknown"
-                f" (no model of size <= {report.certification_size})"
+                " (its probe found neither a refutation nor a model)"
             )
         else:
             lines.append(f"delete {label}: Satisfiable (domain size {model.size})")
-    if bounded:
+    if uncertified:
         lines.append(
-            "minimality holds modulo the size bound; uncertified deletions"
+            "minimality is not certified: an uncertified deletion"
             " may still be unsatisfiable"
         )
     return "\n".join(lines) + "\n"

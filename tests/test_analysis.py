@@ -1,5 +1,8 @@
 """Reasoning services: consistency, conjectures, and minimal unsatisfiable cores."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from folkit import analysis, clausal, models
@@ -249,9 +252,10 @@ def test_extract_mus_on_the_twelve_hypotheses(all_twelve):
     assert verify_verdict(
         Verdict("Unsatisfiable", report.refutation, RunStats()), core_units
     )
+    sizes = {"ax4": 2, "ax5": 2, "ax7": 2, "ax9": 2, "ax10": 1, "ax12": 2}
     for dropped, model in report.deletions.items():
         assert model is not None, f"deletion of {dropped} was not certified"
-        assert model.size <= report.certification_size
+        assert model.size == sizes[dropped]
         rest = [by_label[l].formula for l in report.core if l != dropped]
         assert all(evaluate(model, f) for f in rest)
 
@@ -270,6 +274,93 @@ def test_mus7_is_a_third_minimal_core(hypotheses):
     for dropped, model in report.deletions.items():
         assert model is not None, f"deletion of {dropped} was not certified"
         rest = [u.formula for u in units if u.label != dropped]
+        assert all(evaluate(model, f) for f in rest)
+
+
+def test_extract_mus_gives_each_probe_the_time_left_of_one_deadline(monkeypatch):
+    """limits.max_seconds bounds the whole run, not each probe.
+
+    analysis reads a clock that moves one second per probe and not
+    otherwise, so every budget and elapsed time is exact.
+    """
+    now = [100.0]
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    probes = []
+    decide = analysis._decide
+
+    def recording(units, limits, max_size):
+        probes.append((limits.max_seconds, now[0]))
+        now[0] += 1.0
+        return decide(units, limits, max_size)
+
+    monkeypatch.setattr(analysis, "_decide", recording)
+    units = units_of("fof(p1, axiom, p).\nfof(p2, axiom, ~p).\nfof(q1, axiom, q).")
+    called = now[0]
+    report = extract_mus(units, Limits(max_seconds=60.0))
+    assert report.core == ["p1", "p2"]
+    assert len(probes) == 4
+    for budget, at in probes:
+        assert budget <= 60.0 - (at - called)
+
+
+def _five_distinct_and_at_most_four():
+    constants = [f"c{i}" for i in range(1, 6)]
+    distinct = " & ".join(f"{a} != {b}" for a, b in itertools.combinations(constants, 2))
+    return units_of(
+        f"fof(distinct, axiom, {distinct}).\n"
+        "fof(four, axiom, ![X] : (X = c1 | X = c2 | X = c3 | X = c4))."
+    )
+
+
+def test_extract_mus_certifies_a_deletion_with_a_size_5_model():
+    units = _five_distinct_and_at_most_four()
+    report = extract_mus(units)
+    assert report.core == ["distinct", "four"]
+    model = report.deletions["four"]
+    assert model is not None and model.size == 5
+    assert evaluate(model, units[0].formula)
+    assert "delete four: Satisfiable (domain size 5)" in format_mus_report(report)
+
+
+def test_extract_mus_reports_a_deletion_past_max_size_as_uncertified():
+    report = extract_mus(_five_distinct_and_at_most_four(), max_size=4)
+    assert report.core == ["distinct", "four"]
+    assert report.deletions["four"] is None
+    lines = format_mus_report(report).splitlines()
+    assert "delete four: Unknown (its probe found neither a refutation nor a model)" in lines
+    assert lines[-1] == (
+        "minimality is not certified: an uncertified deletion may still be unsatisfiable"
+    )
+
+
+def test_extract_mus_asks_an_unknown_probe_again_once_the_core_shrinks(
+    monkeypatch, hypotheses
+):
+    """The ax8 probe runs out, and a probe of the final core certifies ax8.
+
+    Deleting ax8 from these eight leaves core9 plus ax11, which saturation
+    refutes only after 32,938 generated clauses, past max_clauses.  The
+    deletions of ax9 and ax11 then stick, and the six minus ax8 has a model.
+    """
+    statuses = []
+    decide = analysis._decide
+
+    def recording(units, limits, max_size):
+        verdict = decide(units, limits, max_size)
+        statuses.append(verdict.status)
+        return verdict
+
+    monkeypatch.setattr(analysis, "_decide", recording)
+    labels = ["ax4", "ax5", "ax7", "ax8", "ax9", "ax10", "ax11", "ax12"]
+    report = extract_mus([hypotheses[l] for l in labels], Limits(max_clauses=30000))
+    assert "Unknown" in statuses
+    assert report.core == ["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"]
+    # ax4, ax5 and ax7 keep their probes' models of the seven-axiom sets
+    sizes = {"ax4": 2, "ax5": 2, "ax7": 2, "ax8": 2, "ax10": 1, "ax12": 2}
+    for dropped, model in report.deletions.items():
+        assert model is not None, f"deletion of {dropped} was not certified"
+        assert model.size == sizes[dropped]
+        rest = [hypotheses[l].formula for l in report.core if l != dropped]
         assert all(evaluate(model, f) for f in rest)
 
 
@@ -304,15 +395,11 @@ def test_format_mus_report_lists_core_and_deletions():
 
 
 def test_format_mus_report_flags_uncertified_deletions():
-    report = MusReport(
-        core=["a"],
-        refutation=Derivation(),
-        deletions={"a": None},
-        certification_size=4,
-    )
+    report = MusReport(core=["a"], refutation=Derivation(), deletions={"a": None})
     text = format_mus_report(report)
-    assert "delete a: Unknown (no model of size <= 4)" in text
-    assert "minimality holds modulo the size bound" in text
+    assert "delete a: Unknown (its probe found neither a refutation nor a model)" in text
+    assert "minimality is not certified" in text
+    assert "size" not in text
 
 
 def test_default_bounds_are_visible():
