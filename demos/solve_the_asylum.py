@@ -15,7 +15,7 @@ def main():
     verdict = check_consistency(list(hyps.values()))
     print(f"SZS status {verdict.status}")
     print(f"({verdict.stats.clauses_generated} clauses generated "
-          f"in {verdict.stats.elapsed:.1f}s)\n")
+          f"in {verdict.stats.elapsed:.1f}s; answered by {verdict.stats.engine})\n")
 
     six = ["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"]
     print(f"The same question for the reduced set {', '.join(six)}:")

@@ -2,10 +2,11 @@
 
 Every decisive verdict carries a witness that has been re-verified
 before it is returned: refutations pass check_derivation, models pass
-evaluate on every input formula.  Saturation and finite model search
-run interleaved on a fixed round-robin schedule measured in work units
-(given-clause selections and solver conflicts), so identical inputs
-yield identical verdicts and witnesses.
+evaluate on every input formula.  Three engines run interleaved on a
+fixed round-robin schedule measured in work units, never in time:
+saturation (given-clause selections), finite model search (solver
+conflicts) and Herbrand-level grounding (ground instances and solver
+conflicts), so identical inputs yield identical verdicts and witnesses.
 """
 
 from __future__ import annotations
@@ -15,12 +16,21 @@ from dataclasses import dataclass, field
 
 from .syntax import Falsity, Formula, Not, Signature, free_variables, signature_of
 from .tptp import NamedFormula, Problem
-from .clausal import Clause, clause_signature, clausify, equality_axioms, uses_equality
+from .clausal import (
+    Clause,
+    clause_signature,
+    clausify,
+    equality_axioms,
+    has_positive_equality,
+    uses_equality,
+)
+from .grounding import Grounder
 from .saturation import (
     Derivation,
     Limits,
     Prover,
     Refutation,
+    Saturated,
     check_derivation,
     format_derivation,
 )
@@ -37,9 +47,12 @@ from .models import (
 STATUSES = ("Unsatisfiable", "Satisfiable", "Theorem", "CounterSatisfiable", "Unknown")
 
 # work done per round of the interleave: given-clause selections on the
-# saturation side, solver conflicts on the model side
+# saturation side, solver conflicts on the model and grounding sides
 _SELECTION_SLICE = 50
 _CONFLICT_SLICE = 2000
+# a grounding level starts once saturation has generated this many
+# clauses per ground instance that the levels up to it enumerate
+_GENERATED_PER_INSTANCE = 2
 
 
 class PreconditionViolated(Exception):
@@ -48,11 +61,16 @@ class PreconditionViolated(Exception):
 
 @dataclass
 class RunStats:
-    """Resource usage of one reasoning run."""
+    """Resource usage of one reasoning run.
+
+    engine names what answered: "saturation", "grounding" or "models";
+    it is None when nothing did.
+    """
 
     elapsed: float = 0.0
     clauses_generated: int = 0
     domain_sizes_tried: list[int] = field(default_factory=list)
+    engine: str | None = None
 
 
 @dataclass
@@ -114,46 +132,76 @@ def _with_equality(clauses: list[Clause], signature: Signature) -> list[Clause]:
 
 
 def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict:
-    """Run saturation and model search interleaved; first decisive answer wins.
+    """Run saturation, model search and grounding interleaved; first decisive answer wins.
 
-    Unsatisfiable always comes from saturation with a checked
-    refutation, Satisfiable always from the model finder with a
-    verified interpretation, so reports do not depend on timing.
-    Each engine stops on its own clock once limits.max_seconds has
-    passed; when both have stopped without an answer, it is Unknown.
+    Each round gives saturation _SELECTION_SLICE selections and the
+    model finder _CONFLICT_SLICE conflicts.  The grounder gets a round
+    of _CONFLICT_SLICE conflicts while a level is loaded; it starts
+    level k only while saturation is still searching and has generated
+    _GENERATED_PER_INSTANCE clauses per instance that levels 0..k
+    enumerate, so a set that saturation refutes quickly never pays for
+    grounding.  It grounds reflexivity as the only equality axiom, and
+    sits out when a clause has a positive equality literal.  A
+    Saturated prover stops it, since the set then has no refutation.
+    Unsatisfiable comes from saturation or grounding with a refutation
+    that check_derivation has passed, Satisfiable from the model finder
+    with a verified interpretation; the schedule counts work, not time,
+    so reports do not depend on timing.  Each engine stops on its own
+    clock once limits.max_seconds has passed; when all have stopped
+    without an answer, it is Unknown.
     """
     start = time.monotonic()
     hunter = ModelSearch(units, max_size=max_size, limits=limits)
     # the model finder's clauses are what saturation_inputs would build
     clauses = _with_equality(hunter.clauses, hunter.signature)
     prover = Prover(clauses, limits)
+    grounder = None
+    if not has_positive_equality(hunter.clauses):
+        # of the equality axioms only reflexivity, which equality_axioms lists first
+        grounder = Grounder(clauses[: len(hunter.clauses) + 1], limits)
 
-    def stats() -> RunStats:
-        return RunStats(
+    def verdict(status: str, witness, engine: str | None) -> Verdict:
+        stats = RunStats(
             elapsed=time.monotonic() - start,
             clauses_generated=prover.generated,
             domain_sizes_tried=list(hunter.sizes_tried),
+            engine=engine,
         )
+        return Verdict(status, witness, stats)
 
-    proving = True
-    hunting = True
-    while proving or hunting:
+    def refuted(derivation: Derivation, engine: str) -> Verdict:
+        report = check_derivation(derivation, clauses)
+        if not report:
+            raise RuntimeError(f"{engine} refutation failed checking: {report.message}")
+        return verdict("Unsatisfiable", derivation, engine)
+
+    proving = hunting = True
+    grounding = grounder is not None
+    while proving or hunting or grounding:
         if proving:
             result = prover.step(_SELECTION_SLICE)
             if isinstance(result, Refutation):
-                report = check_derivation(result.derivation, clauses)
-                if not report:
-                    raise RuntimeError(f"refutation failed checking: {report.message}")
-                return Verdict("Unsatisfiable", result.derivation, stats())
+                return refuted(result.derivation, "saturation")
             if result is not None:
                 proving = False
+                grounding = grounding and not isinstance(result, Saturated)
         if hunting:
             found = hunter.step(_CONFLICT_SLICE)
             if isinstance(found, Model):
-                return Verdict("Satisfiable", found.interpretation, stats())
+                return verdict("Satisfiable", found.interpretation, "models")
             if found is not None:
                 hunting = False
-    return Verdict("Unknown", None, stats())
+        if grounding:
+            if grounder.solving or (
+                proving and prover.generated >= _GENERATED_PER_INSTANCE * grounder.cost()
+            ):
+                outcome = grounder.step(_CONFLICT_SLICE)
+                if isinstance(outcome, Refutation):
+                    return refuted(outcome.derivation, "grounding")
+                grounding = outcome is None
+            else:
+                grounding = proving
+    return verdict("Unknown", None, None)
 
 
 def check_consistency(
@@ -200,7 +248,7 @@ def prove_conjecture(
 ) -> Verdict:
     """Prove a closed conjecture from axioms by refuting its negation.
 
-    Theorem when saturation refutes axioms plus the negated conjecture;
+    Theorem when saturation or grounding refutes axioms plus the negated conjecture;
     CounterSatisfiable when the model finder satisfies that set.
     """
     units = conjecture_units(axioms, conjecture)
@@ -241,13 +289,16 @@ def extract_mus(
     satisfies every smaller core without that axiom.  A probe that ends
     Unknown is asked again once the core is smaller than the set it
     asked about.  limits.max_seconds is one deadline for the whole run,
-    each probe getting the time left; max_clauses applies per probe.
+    each probe getting the time left, and a probe with no time left is
+    Unknown without running; max_clauses applies per probe.
     """
     limits = limits or Limits()
     deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
 
     def probe(units: list[NamedFormula]) -> Verdict:
-        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0.0:
+            return Verdict("Unknown", None, RunStats())
         return _decide(units, Limits(limits.max_clauses, left), max_size)
 
     core = list(axioms)

@@ -500,6 +500,15 @@ def uses_equality(clauses: Iterable[Clause]) -> bool:
     return any(l.is_equality() for c in clauses for l in c.literals)
 
 
+def has_positive_equality(clauses: Iterable[Clause]) -> bool:
+    """True iff some clause has a positive equality literal.
+
+    Without one, models are closed upward in size, and reflexivity
+    alone stands in for the equality axioms in a refutation.
+    """
+    return any(l.positive and l.pred == EQ for c in clauses for l in c.literals)
+
+
 def clause_signature(clauses: Iterable[Clause], base: Signature | None = None) -> Signature:
     """Collect every symbol occurring in the clauses, in first-use order.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .clausal import EQ, Clause, clause_signature, clausify
+from .clausal import EQ, Clause, clause_signature, clausify, has_positive_equality
 from .sat import CdclSolver, PropClauseSet
 from .saturation import Limits, ResourceOut
 from .syntax import App, Formula, Signature, Term, Var, signature_of
@@ -340,8 +340,9 @@ class ModelSearch:
     while undecided, so callers can interleave model search with other
     work.  Verdicts are deterministic and come from the smallest size.
     The time limit counts from construction: once it has passed, step()
-    runs no further solver slice, and a grounding that runs past it is
-    cut short; either way the search ends as ResourceOut("time-limit").
+    grounds no further size and runs no further solver slice, and a
+    grounding that runs past it is cut short; either way the search ends
+    as ResourceOut("time-limit").
     Sizes go up by one, so a caller that interleaves this search with
     saturation pays for the cheap small sizes first.  find_model instead
     doubles the size when no clause has a positive equality literal:
@@ -395,15 +396,15 @@ class ModelSearch:
         self.solver = solver
         return None
 
+    def _out_of_time(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
     def step(self, max_conflicts: int = 2000) -> ModelSearchResult | None:
-        if self.done is not None:
-            return self.done
-        if self.solver is None:
+        if self.done is None and self.solver is None and not self._out_of_time():
             self.done = self._next_size()
-            if self.done is not None:
-                return self.done
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.done is None and self._out_of_time():
             self.done = ResourceOut("time-limit")
+        if self.done is not None:
             return self.done
         assert self.solver is not None
         verdict = self.solver.solve(max_conflicts=max_conflicts)
@@ -439,11 +440,7 @@ class _DoublingSearch(ModelSearch):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.closed_upward = not any(
-            lit.positive and lit.pred == EQ
-            for clause in self.clauses
-            for lit in clause.literals
-        )
+        self.closed_upward = not has_positive_equality(self.clauses)
         self.floor = 0  # every size up to floor has no model
         self.above: Model | None = None  # a model at a larger size
 

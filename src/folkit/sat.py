@@ -74,6 +74,12 @@ class CdclSolver:
     holds the entry of literal l at index l, so a negative literal reads
     from the end of the list.  vals[l] is 1 when l is true, -1 when it is
     false and 0 when unset.
+
+    learned lists every learned clause, units included, in the order
+    learned.  Each follows by unit propagation from the input clauses
+    and the clauses learned before it, so a refutation can be rebuilt
+    from them (grounding.Grounder does).  Watching reorders a clause's
+    literals in place.
     """
 
     _RESTART_BASE = 100
@@ -83,6 +89,7 @@ class CdclSolver:
     def __init__(self, n: int):
         self.n = n
         self.clauses: list[list[int]] = []
+        self.learned: list[list[int]] = []
         # watches[l] holds the clauses watching l, visited when l turns false
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.vals: list[int] = [0] * (2 * n + 1)
@@ -305,6 +312,7 @@ class CdclSolver:
                     self.failed = True
                     return False
                 learned, back_level = self._analyze(confl)
+                self.learned.append(learned)
                 self._backtrack(back_level)
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)

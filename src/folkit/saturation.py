@@ -366,6 +366,38 @@ class Derivation:
         return bool(self.steps) and self.steps[-1].clause.is_empty()
 
 
+def extract_derivation(steps: dict[int, Step], root: int) -> Derivation:
+    """The steps root depends on, in id order, renumbered from 1."""
+    needed: set[int] = set()
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        if cur in needed:
+            continue
+        needed.add(cur)
+        rule = steps[cur].rule
+        if isinstance(rule, Resolution):
+            stack.extend(rule.parents)
+        elif isinstance(rule, Factoring):
+            stack.append(rule.parent)
+    order = sorted(needed)
+    renumber = {old: new for new, old in enumerate(order, start=1)}
+    out: list[Step] = []
+    for old in order:
+        step = steps[old]
+        rule = step.rule
+        if isinstance(rule, Resolution):
+            rule = Resolution(
+                (renumber[rule.parents[0]], renumber[rule.parents[1]]),
+                rule.positions,
+                rule.mgu,
+            )
+        elif isinstance(rule, Factoring):
+            rule = Factoring(renumber[rule.parent], rule.positions, rule.mgu)
+        out.append(Step(renumber[old], step.clause, rule))
+    return Derivation(out)
+
+
 @dataclass
 class Refutation:
     derivation: Derivation
@@ -840,34 +872,7 @@ class Prover:
         return current, rule
 
     def extract(self, root: int) -> Derivation:
-        needed: set[int] = set()
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            if cur in needed:
-                continue
-            needed.add(cur)
-            rule = self.steps[cur].rule
-            if isinstance(rule, Resolution):
-                stack.extend(rule.parents)
-            elif isinstance(rule, Factoring):
-                stack.append(rule.parent)
-        order = sorted(needed)
-        renumber = {old: new for new, old in enumerate(order, start=1)}
-        out: list[Step] = []
-        for old in order:
-            step = self.steps[old]
-            rule = step.rule
-            if isinstance(rule, Resolution):
-                rule = Resolution(
-                    (renumber[rule.parents[0]], renumber[rule.parents[1]]),
-                    rule.positions,
-                    rule.mgu,
-                )
-            elif isinstance(rule, Factoring):
-                rule = Factoring(renumber[rule.parent], rule.positions, rule.mgu)
-            out.append(Step(renumber[old], step.clause, rule))
-        return Derivation(out)
+        return extract_derivation(self.steps, root)
 
     def _intake(self, inputs: list[Clause]) -> SaturationResult | None:
         """Load the input clauses; reports a refutation if one is empty."""

@@ -228,6 +228,33 @@ def random_closed_formula(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# Random function-free clause sets
+# ---------------------------------------------------------------------------
+
+FREE_PREDS = {"p": 1, "q": 2, "r": 0}
+
+
+def random_function_free_clauses(rng: random.Random):
+    """Constants (none, a, b or both) and 2-12 clauses of 1-3 literals over them.
+
+    Without function symbols the Herbrand universe is the constants (or
+    one element when there are none), so a model of size max(1, number
+    of constants) exists exactly when the clauses are satisfiable.
+    """
+    constants = sorted(rng.sample(["a", "b"], rng.randint(0, 2)))
+    terms = [Var("X"), Var("Y")] + [App(name, ()) for name in constants]
+    clauses = []
+    for _ in range(rng.randint(2, 12)):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(sorted(FREE_PREDS))
+            args = tuple(rng.choice(terms) for _ in range(FREE_PREDS[pred]))
+            lits.append(Literal(rng.random() < 0.6, pred, args))
+        clauses.append(Clause(lits))
+    return constants, clauses
+
+
+# ---------------------------------------------------------------------------
 # Pattern matching (for the most-general-unifier property)
 # ---------------------------------------------------------------------------
 

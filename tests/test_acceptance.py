@@ -131,6 +131,7 @@ def test_criterion_5_exclusivity_over_sampled_subsets(hypotheses):
                 assert big_status != "Satisfiable", (sorted(small), sorted(big))
     assert tally["Unsatisfiable"] >= 8
     assert tally["Satisfiable"] >= 150
+    assert tally["Unknown"] == 0
 
 
 def test_criterion_6_propositional_completeness():

@@ -117,6 +117,36 @@ def test_stats_are_populated(hypotheses):
     verdict = check_consistency([hypotheses["ax1"]])
     assert verdict.stats.elapsed >= 0.0
     assert verdict.stats.domain_sizes_tried[:1] == [1]
+    assert verdict.stats.engine == "models"
+
+
+def test_stats_name_the_engine_that_answered(reduced_six):
+    assert check_consistency(reduced_six).stats.engine == "saturation"
+    units = units_of("fof(a, axiom, ?[X] : ?[Y] : ~(X = Y)).")
+    assert check_consistency(units, max_size=1).stats.engine is None
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        (4, 5, 6, 7, 9, 11, 12),
+        (3, 4, 5, 6, 7, 8, 9, 11, 12),
+        (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12),
+    ],
+    ids=["mus7", "nine", "twelve-without-ax8"],
+)
+def test_grounding_refutes_the_sets_saturation_finds_hard(hypotheses, numbers):
+    """The prover alone needs 137k-237k generated clauses on these sets.
+
+    Under a 20,000-clause limit only the grounder can answer, and its
+    refutation must pass the same check as saturation's.
+    """
+    units = [hypotheses[f"ax{n}"] for n in numbers]
+    verdict = check_consistency(units, limits=Limits(max_seconds=15, max_clauses=20_000))
+    assert verdict.status == "Unsatisfiable"
+    assert verdict.stats.engine == "grounding"
+    assert verdict.stats.clauses_generated <= 20_000
+    assert verify_verdict(verdict, units)
 
 
 # -- conjectures ------------------------------------------------------------------
@@ -303,6 +333,26 @@ def test_extract_mus_gives_each_probe_the_time_left_of_one_deadline(monkeypatch)
         assert budget <= 60.0 - (at - called)
 
 
+def test_extract_mus_runs_no_probe_once_the_deadline_has_passed(monkeypatch):
+    """A probe with no time left is Unknown without a decision being run."""
+    now = [100.0]
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    probes = []
+    decide = analysis._decide
+
+    def recording(units, limits, max_size):
+        probes.append([u.label for u in units])
+        now[0] += 10.0
+        return decide(units, limits, max_size)
+
+    monkeypatch.setattr(analysis, "_decide", recording)
+    units = units_of("fof(p1, axiom, p).\nfof(p2, axiom, ~p).\nfof(q1, axiom, q).")
+    report = extract_mus(units, Limits(max_seconds=5.0))
+    assert probes == [["p1", "p2", "q1"]]
+    assert report.core == ["p1", "p2", "q1"]
+    assert report.deletions == {"p1": None, "p2": None, "q1": None}
+
+
 def _five_distinct_and_at_most_four():
     constants = [f"c{i}" for i in range(1, 6)]
     distinct = " & ".join(f"{a} != {b}" for a, b in itertools.combinations(constants, 2))
@@ -338,9 +388,12 @@ def test_extract_mus_asks_an_unknown_probe_again_once_the_core_shrinks(
 ):
     """The ax8 probe runs out, and a probe of the final core certifies ax8.
 
-    Deleting ax8 from these eight leaves core9 plus ax11, which saturation
-    refutes only after 32,938 generated clauses, past max_clauses.  The
-    deletions of ax9 and ax11 then stick, and the six minus ax8 has a model.
+    Deleting ax8 from these eight leaves core9 plus ax11.  Saturation
+    refutes it only after 32,938 generated clauses, and the grounder at
+    level 1, which it starts only once saturation has generated 4,472;
+    both lie past max_clauses.  The input needs 2,980 generated clauses.
+    The deletions of ax9 and ax11 then stick, and the six minus ax8 has
+    a model.
     """
     statuses = []
     decide = analysis._decide
@@ -352,7 +405,7 @@ def test_extract_mus_asks_an_unknown_probe_again_once_the_core_shrinks(
 
     monkeypatch.setattr(analysis, "_decide", recording)
     labels = ["ax4", "ax5", "ax7", "ax8", "ax9", "ax10", "ax11", "ax12"]
-    report = extract_mus([hypotheses[l] for l in labels], Limits(max_clauses=30000))
+    report = extract_mus([hypotheses[l] for l in labels], Limits(max_clauses=4000))
     assert "Unknown" in statuses
     assert report.core == ["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"]
     # ax4, ax5 and ax7 keep their probes' models of the seven-axiom sets

@@ -282,6 +282,12 @@ def test_model_search_step_stops_at_its_deadline(reduced_six):
     assert search.step(max_conflicts=1) == folkit.ResourceOut("time-limit")
 
 
+def test_model_search_grounds_nothing_past_its_deadline(reduced_six):
+    search = ModelSearch(reduced_six, limits=folkit.Limits(max_seconds=0.0))
+    assert search.step() == folkit.ResourceOut("time-limit")
+    assert search.sizes_tried == []
+
+
 def test_model_search_can_be_interleaved(reduced_six):
     search = ModelSearch(reduced_six, max_size=4)
     steps = 0

@@ -34,7 +34,13 @@ from folkit.saturation import (
     unify,
 )
 
-from oracles import clauses_have_model, match_term, tt_satisfiable
+from oracles import (
+    FREE_PREDS,
+    clauses_have_model,
+    match_term,
+    random_function_free_clauses,
+    tt_satisfiable,
+)
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b = App("a", ()), App("b", ())
@@ -680,23 +686,6 @@ def test_search_deletes_a_literal_that_resolution_would_not_touch():
 
 # -- completeness of the ordering restriction ---------------------------------
 
-_FREE_PREDS = {"p": 1, "q": 2, "r": 0}
-
-
-def _random_function_free_clauses(rng):
-    constants = sorted(rng.sample(["a", "b"], rng.randint(0, 2)))
-    terms = [X, Y] + [App(name, ()) for name in constants]
-    clauses = []
-    for _ in range(rng.randint(2, 12)):
-        lits = []
-        for _ in range(rng.randint(1, 3)):
-            pred = rng.choice(sorted(_FREE_PREDS))
-            args = tuple(rng.choice(terms) for _ in range(_FREE_PREDS[pred]))
-            lits.append(Literal(rng.random() < 0.6, pred, args))
-        clauses.append(Clause(lits))
-    return constants, clauses
-
-
 def test_ordered_saturation_agrees_with_model_enumeration():
     """Refutation exactly on the unsatisfiable function-free clause sets.
 
@@ -711,10 +700,10 @@ def test_ordered_saturation_agrees_with_model_enumeration():
     seen = {"Refutation": 0, "Saturated": 0}
     restricted = 0
     for _ in range(300):
-        constants, clauses = _random_function_free_clauses(rng)
+        constants, clauses = random_function_free_clauses(rng)
         size = max(1, len(constants))
         expected = clauses_have_model(
-            clauses, _FREE_PREDS, {name: 0 for name in constants}, size
+            clauses, FREE_PREDS, {name: 0 for name in constants}, size
         )
         result = saturate(clauses, Limits(max_clauses=20_000, max_seconds=30.0))
         assert isinstance(result, (Refutation, Saturated)), clauses
