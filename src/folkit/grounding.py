@@ -10,15 +10,16 @@ unsatisfiable clause set without equality is refuted at some level.
 Terms and atoms are interned as integers, so an instance costs a few
 dictionary lookups and no Clause or Literal is built until a proof is.
 
-A refutation is rebuilt from the solver's learned clauses as in Zhang &
+A refutation is replayed from the solver's own trace as in Zhang &
 Malik ("Validating SAT Solvers Using an Independent Resolution-Based
-Checker", DATE 2003): each learned clause follows by unit propagation
-from the clauses before it, so unit propagation backward from the final
-conflict finds the learned clauses the proof uses and the resolution
-chain of each.  Each ground instance enters the Derivation as a renamed
-Input step whose substitution rides on the Resolution steps that use
-it, after one Factoring step when its literals merge, so
-check_derivation checks it like any saturation proof.
+Checker", DATE 2003): the solver logs, for each learned clause, the
+conflict and the reasons its analysis resolved, and the level-0 reason
+of every literal, so the proof resolves the ground instances along
+those chains in learning order and then down to the empty clause,
+without propagating again.  Each ground instance enters the Derivation
+as a renamed Input step whose substitution rides on the Resolution
+steps that use it, after one Factoring step when its literals merge,
+so check_derivation checks it like any saturation proof.
 """
 
 from __future__ import annotations
@@ -102,19 +103,12 @@ class Grounder:
         self.constants = [self._intern(name, ()) for name in names]
         self.functions = [(name, arity) for name, arity in symbols.items() if arity > 0]
         self.variables = [_variables_in_order(c) for c in self.clauses]
-        self.templates = [
-            [
-                (lit.positive, lit.pred, tuple(self._template(a, names) for a in lit.args))
-                for lit in c.literals
-            ]
-            for c, names in zip(self.clauses, self.variables)
-        ]
         self.level = -1
         self.universe: list[int] = []  # terms of depth <= level
         self.enumerated = 0  # instances the levels grounded so far enumerated
         self.solver: CdclSolver | None = None
-        self.ground: list[list[int]] = []  # the loaded level's instances
-        self.origins: list[tuple[int, tuple[int, ...]]] = []  # (clause, term per variable)
+        # id of each clause the loaded solver kept -> its ground instance
+        self.instance_of: dict[int, tuple[list[int], int, tuple[int, ...]]] = {}
         self.result: GroundingResult | None = None
 
     # -- interning ----------------------------------------------------------
@@ -164,6 +158,13 @@ class Grounder:
 
     def _ground_level(self) -> None:
         """Ground the next level into a fresh solver; TimeoutError past the deadline."""
+        templates = [
+            [
+                (lit.positive, lit.pred, tuple(self._template(a, names) for a in lit.args))
+                for lit in c.literals
+            ]
+            for c, names in zip(self.clauses, self.variables)
+        ]
         universe = list(self.constants)
         if self.level >= 0:
             for name, arity in self.functions:
@@ -173,16 +174,16 @@ class Grounder:
         atom_keys = self.atom_keys
         term_id = self._term_id
         deadline = self.deadline
-        ground: list[list[int]] = []
-        origins: list[tuple[int, tuple[int, ...]]] = []
+        # (instance literals, clause index, term per variable)
+        ground: list[tuple[list[int], int, tuple[int, ...]]] = []
         count = 0
-        for index, (names, templates) in enumerate(zip(self.variables, self.templates)):
+        for index, (names, literals) in enumerate(zip(self.variables, templates)):
             for values in product(universe, repeat=len(names)):
                 count += 1
                 if count & 1023 == 0 and deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(f"grounding level {self.level + 1} ran past its deadline")
                 lits = []
-                for positive, pred, args in templates:
+                for positive, pred, args in literals:
                     key = (pred, tuple([
                         (values[a] if a >= 0 else ~a) if type(a) is int else term_id(a, values)
                         for a in args
@@ -197,16 +198,17 @@ class Grounder:
                     continue  # a tautology
                 if len(distinct) < len(lits):
                     lits = list(dict.fromkeys(lits))
-                ground.append(lits)
-                origins.append((index, values))
+                ground.append((lits, index, values))
         solver = CdclSolver(len(atom_keys))
-        for lits in ground:
-            solver.add_clause(lits)
+        instance_of = {}
+        for instance in ground:
+            kept = solver.add_clause(instance[0])
+            if kept is not None:
+                instance_of[id(kept)] = instance
         self.level += 1
         self.universe = universe
         self.enumerated += count
-        self.ground = ground
-        self.origins = origins
+        self.instance_of = instance_of
         self.solver = solver
 
     def step(self, max_conflicts: int = 2000) -> GroundingResult | None:
@@ -233,7 +235,7 @@ class Grounder:
         if not verdict:
             return Refutation(self._derivation())
         self.solver = None
-        self.ground, self.origins = [], []
+        self.instance_of = {}
         if not self.functions:
             return Saturated()
         return None
@@ -248,15 +250,23 @@ class Grounder:
         return term
 
     def _derivation(self) -> Derivation:
-        """The refutation the loaded level's solver found, as checkable steps."""
-        assert self.solver is not None
-        db = self.ground + self.solver.learned
-        chains = _rup_chains(db, len(self.ground), len(self.atom_keys))
+        """The refutation the loaded level's solver found, replayed as checkable steps.
+
+        Each learned clause is its chain's resolvent less some literals
+        false at level 0: those that the solver dropped from an input
+        clause or that its analysis skipped.  Resolving each with its
+        level-0 reason, latest on the trail first, removes them, and
+        the same from the final conflict leaves the empty clause.
+        """
+        solver = self.solver
+        assert solver is not None
+        reasons = solver.reason
+        at = {-lit: index for index, lit in enumerate(solver.trail)}  # all at level 0
         terms: dict[int, Term] = {}
         literals: dict[int, Literal] = {}
         supply = VariableSupply()
         steps: dict[int, Step] = {}
-        # clause id -> (step id, ground literals, bindings the step still needs)
+        # id of a solver clause -> (step id, ground literals, bindings the step still needs)
         derived: dict[int, tuple[int, list[int], dict[str, Term]]] = {}
 
         def literal(lit: int) -> Literal:
@@ -273,11 +283,11 @@ class Grounder:
             steps[sid] = Step(sid, clause, rule)
             return sid
 
-        def instance(cid: int) -> tuple[int, list[int], dict[str, Term]]:
-            index, values = self.origins[cid]
+        def instance(
+            lits: list[int], index: int, values: tuple[int, ...]
+        ) -> tuple[int, list[int], dict[str, Term]]:
             c = self.clauses[index]
             label = ",".join(c.labels) if c.labels else "input"
-            lits = self.ground[cid]
             if c.ground:
                 return add(c, Input(label)), lits, {}
             fresh = {name: Var(supply.fresh()) for name in self.variables[index]}
@@ -300,10 +310,10 @@ class Grounder:
             sid = add(Clause(instances), Factoring(sid, (i, j), Substitution(bindings)))
             return sid, lits, {}
 
-        def clause_of(cid: int) -> tuple[int, list[int], dict[str, Term]]:
-            got = derived.get(cid)
+        def clause_of(kept: list[int]) -> tuple[int, list[int], dict[str, Term]]:
+            got = derived.get(id(kept))
             if got is None:
-                got = derived[cid] = instance(cid)
+                got = derived[id(kept)] = instance(*self.instance_of[id(kept)])
             return got
 
         def resolve(first, second, pivot: int) -> tuple[int, list[int], dict[str, Term]]:
@@ -316,135 +326,21 @@ class Grounder:
             rule = Resolution((sid1, sid2), (i, j), Substitution({**bind1, **bind2}))
             return add(Clause([literal(l) for l in lits]), rule), lits, {}
 
-        for target in reversed(chains):  # learned clauses in order, the empty one last
-            conflict, chain = chains[target]
-            current = clause_of(conflict)
-            for lit, reason in chain:
-                if -lit not in current[1]:
-                    continue  # a stronger clause than learned already left it out
+        def settle(current, keep: list[int]) -> tuple[int, list[int], dict[str, Term]]:
+            """Resolve away current's literals outside keep, all false at level 0."""
+            while True:
+                extra = [lit for lit in current[1] if lit not in keep]
+                if not extra:
+                    return current
+                lit = max(extra, key=at.__getitem__)
+                current = resolve(current, clause_of(reasons[abs(lit)]), -lit)
+
+        for learned, chain in zip(solver.learned, solver.chains):
+            current = clause_of(chain[0])
+            for reason in chain[1:]:
                 other = clause_of(reason)
-                current = resolve(current, other, lit) if lit in other[1] else other
-            if not current[1]:
-                return extract_derivation(steps, current[0])
-            derived[target] = current  # type: ignore[index]
-        raise RuntimeError("the rebuilt refutation does not reach the empty clause")
-
-
-def _rup_chains(
-    db: list[list[int]], first_learned: int, n: int
-) -> dict[int | None, tuple[int, list[tuple[int, int]]]]:
-    """Resolution chains for the empty clause (key None) and the learned clauses it needs.
-
-    db holds the input clauses, then the learned ones from first_learned
-    on, each implied by unit propagation from the clauses before it.
-    For a target clause C, propagation from the negation of C over those
-    clauses reaches a conflicting clause; resolving it with the reasons
-    of the propagated literals, latest first, leaves a subset of C.  The
-    chain is that conflict and those (literal, reason) pairs.  Targets
-    are checked backward from the empty clause over all of db, and a
-    learned clause only when a later chain uses it.
-    """
-    clauses = [list(c) for c in db]  # own copies: watching reorders literals
-    watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-    units: list[int] = []
-    empty: list[int] = []
-    for cid, c in enumerate(clauses):
-        if len(c) >= 2:
-            watches[c[0]].append(cid)
-            watches[c[1]].append(cid)
-        elif c:
-            units.append(cid)
-        else:
-            empty.append(cid)
-    vals = [0] * (2 * n + 1)
-    reason = [-1] * (n + 1)  # -1 marks an assumption
-
-    def propagate(target: list[int], limit: int, trail: list[int]) -> int | None:
-        """The id of a clause below limit that propagation falsifies, or None."""
-
-        def assign(lit: int, why: int) -> None:
-            vals[lit] = 1
-            vals[-lit] = -1
-            reason[abs(lit)] = why
-            trail.append(lit)
-
-        for cid in empty:
-            if cid < limit:
-                return cid
-        for lit in target:
-            if vals[-lit] == 0:
-                assign(-lit, -1)
-        for cid in units:
-            if cid >= limit:
-                break
-            lit = clauses[cid][0]
-            if vals[lit] == -1:
-                return cid
-            if vals[lit] == 0:
-                assign(lit, cid)
-        qhead = 0
-        while qhead < len(trail):
-            falsified = -trail[qhead]
-            qhead += 1
-            watching = watches[falsified]
-            kept = 0
-            at = 0
-            size = len(watching)
-            while at < size:
-                cid = watching[at]
-                at += 1
-                c = clauses[cid]
-                if cid >= limit:
-                    watching[kept] = cid
-                    kept += 1
-                    continue
-                if c[0] == falsified:
-                    c[0], c[1] = c[1], falsified
-                other = c[0]
-                if vals[other] == 1:
-                    watching[kept] = cid
-                    kept += 1
-                    continue
-                for k in range(2, len(c)):
-                    lit = c[k]
-                    if vals[lit] != -1:
-                        c[1], c[k] = lit, falsified
-                        watches[lit].append(cid)
-                        break
-                else:
-                    watching[kept] = cid
-                    kept += 1
-                    if vals[other] == -1:
-                        del watching[kept:at]
-                        return cid
-                    assign(other, cid)
-            del watching[kept:]
-        return None
-
-    chains: dict[int | None, tuple[int, list[tuple[int, int]]]] = {}
-    needed: set[int] = set()
-    targets: list[int | None] = [None] + list(range(len(db) - 1, first_learned - 1, -1))
-    for target in targets:
-        if target is not None and target not in needed:
-            continue
-        trail: list[int] = []
-        limit = len(db) if target is None else target
-        conflict = propagate([] if target is None else clauses[target], limit, trail)
-        try:
-            if conflict is None:
-                raise RuntimeError("a learned clause does not follow by unit propagation")
-            marked = {abs(lit) for lit in clauses[conflict]}
-            chain: list[tuple[int, int]] = []
-            for lit in reversed(trail):
-                var = abs(lit)
-                if var not in marked or reason[var] < 0:
-                    continue
-                chain.append((lit, reason[var]))
-                marked.update(abs(q) for q in clauses[reason[var]])
-        finally:
-            for lit in trail:
-                vals[lit] = vals[-lit] = 0
-        needed.add(conflict)
-        needed.update(r for _, r in chain)
-        chains[target] = (conflict, chain)
-    return chains
+                pivot = next(lit for lit in other[1] if -lit in current[1])
+                current = resolve(current, other, pivot)
+            derived[id(learned)] = settle(current, learned)
+        assert solver.conflict is not None
+        return extract_derivation(steps, settle(clause_of(solver.conflict), [])[0])

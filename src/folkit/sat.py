@@ -76,10 +76,17 @@ class CdclSolver:
     false and 0 when unset.
 
     learned lists every learned clause, units included, in the order
-    learned.  Each follows by unit propagation from the input clauses
-    and the clauses learned before it, so a refutation can be rebuilt
-    from them (grounding.Grounder does).  Watching reorders a clause's
-    literals in place.
+    learned, and chains[i] is the resolution _analyze did for
+    learned[i]: the conflict clause, then the reason of each trail
+    literal resolved on, latest first.  Each reason clashes with the
+    resolvent so far on that literal alone, so the chain resolves to
+    learned[i] plus literals false at level 0.  Every literal assigned
+    at level 0 has a reason clause, and a unit clause, input or
+    learned, is its own literal's reason.  conflict is the clause found
+    false at level 0 once the clause set is refuted.  From these a
+    refutation can be replayed without propagating again
+    (grounding.Grounder does).  Watching reorders a clause's literals
+    in place.
     """
 
     _RESTART_BASE = 100
@@ -90,6 +97,7 @@ class CdclSolver:
         self.n = n
         self.clauses: list[list[int]] = []
         self.learned: list[list[int]] = []
+        self.chains: list[list[list[int]]] = []
         # watches[l] holds the clauses watching l, visited when l turns false
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.vals: list[int] = [0] * (2 * n + 1)
@@ -106,7 +114,7 @@ class CdclSolver:
         self.conflicts = 0
         self.restart_limit = float(self._RESTART_BASE)
         self.conflicts_at_restart = 0
-        self.failed = False  # top-level contradiction
+        self.conflict: list[int] | None = None  # false at level 0: refuted
 
     # -- assignment plumbing ------------------------------------------------
 
@@ -121,14 +129,17 @@ class CdclSolver:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def add_clause(self, lits: Sequence[int]) -> None:
+    def add_clause(self, lits: Sequence[int]) -> list[int] | None:
         """Add an input clause, first backtracking to decision level 0.
 
         It keeps each literal's first occurrence, in order, less those
-        false at level 0; tautologies and satisfied clauses are dropped.
+        false at level 0, and returns the list it keeps, the object that
+        chains, reasons and conflict refer to.  Tautologies and satisfied
+        clauses are dropped and give None, as does every clause once the
+        set is refuted.  A kept clause left empty is the conflict.
         """
-        if self.failed:
-            return
+        if self.conflict is not None:
+            return None
         self._backtrack(0)
         vals = self.vals
         seen: set[int] = set()
@@ -137,19 +148,18 @@ class CdclSolver:
             if lit in seen:
                 continue
             if -lit in seen or vals[lit] == 1:
-                return  # tautology, or already satisfied
+                return None  # tautology, or already satisfied
             seen.add(lit)
             if vals[lit] == 0:
                 clause.append(lit)
         if not clause:
-            self.failed = True
-            return
-        if len(clause) == 1:
-            self._enqueue(clause[0], None)
-            if self._propagate() is not None:
-                self.failed = True
-            return
-        self._attach(clause)
+            self.conflict = clause
+        elif len(clause) == 1:
+            self._enqueue(clause[0], clause)
+            self.conflict = self._propagate()
+        else:
+            self._attach(clause)
+        return clause
 
     def _attach(self, clause: list[int]) -> None:
         self.clauses.append(clause)
@@ -220,8 +230,9 @@ class CdclSolver:
             heapify(self.order)
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to backjump to."""
+        """First-UIP learned clause and the level to backjump to; logs the clause and its chain."""
         learned = [0]
+        chain = [confl]
         seen = self.seen
         marked: list[int] = []
         level = self.level
@@ -252,6 +263,7 @@ class CdclSolver:
             if counter == 0:
                 break
             reason = self.reason[abs(lit)]
+            chain.append(reason)
         for var in marked:
             seen[var] = False
         learned[0] = lit
@@ -262,6 +274,8 @@ class CdclSolver:
             learned[1], learned[best] = learned[best], learned[1]
             back_level = level[abs(learned[1])]
         self.var_inc /= self._ACTIVITY_DECAY
+        self.learned.append(learned)
+        self.chains.append(chain)
         return learned, back_level
 
     def _backtrack(self, target: int) -> None:
@@ -300,7 +314,7 @@ class CdclSolver:
 
     def solve(self, max_conflicts: int | None = None) -> bool | None:
         """True = satisfiable, False = unsatisfiable, None = budget out."""
-        if self.failed:
+        if self.conflict is not None:
             return False
         spent = 0
         while True:
@@ -309,16 +323,13 @@ class CdclSolver:
                 self.conflicts += 1
                 spent += 1
                 if not self.trail_lim:
-                    self.failed = True
+                    self.conflict = confl
                     return False
                 learned, back_level = self._analyze(confl)
-                self.learned.append(learned)
                 self._backtrack(back_level)
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
+                if len(learned) > 1:
                     self._attach(learned)
-                    self._enqueue(learned[0], learned)
+                self._enqueue(learned[0], learned)
                 if self.conflicts - self.conflicts_at_restart >= self.restart_limit:
                     self.conflicts_at_restart = self.conflicts
                     self.restart_limit *= self._RESTART_FACTOR

@@ -1,6 +1,8 @@
 """Command-line workflows: dispatch, reports, exit codes, artifacts."""
 
 import io
+import os
+import sys
 import time
 
 import pytest
@@ -367,3 +369,15 @@ def test_main_rejects_a_time_limit_that_never_runs_out(capsys, value):
     argv = ["asylum", "consistency", "--subset", "ax4,ax5", "--time-limit", value]
     assert main(argv) == EXIT_INPUT
     assert "--time-limit must be finite and positive" in capsys.readouterr().err
+
+
+def test_main_exits_quietly_when_stdout_is_closed(monkeypatch, capsys):
+    """As under `folkit asylum consistency --check | head -1`: no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    # line buffered, so the report's first write raises BrokenPipeError
+    with open(write, "w", buffering=1) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["asylum", "model", "--subset", "ax6,ax7"]) == EXIT_UNKNOWN
+        closed.write("after\n")  # the descriptor now leads to devnull
+    assert capsys.readouterr().err == ""

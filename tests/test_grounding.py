@@ -1,6 +1,7 @@
 """Herbrand-level grounding: refutations that the trusted checker accepts."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -34,8 +35,8 @@ def run(grounder: Grounder):
             return result
 
 
-def refute(clauses):
-    result = run(Grounder(clauses))
+def refute(clauses, grounder=None):
+    result = run(grounder or Grounder(clauses))
     assert isinstance(result, Refutation)
     assert result.derivation.is_refutation()
     assert check_derivation(result.derivation, clauses)
@@ -97,6 +98,43 @@ def test_the_same_clauses_give_the_same_proof_text():
     ).units
     texts = {format_derivation(refute(clausify(units))) for _ in range(3)}
     assert len(texts) == 1
+
+
+def test_first_order_pigeonhole_is_replayed_from_every_learned_clause():
+    """PHP(6,5) over constants: the propositional problem of test_sat, 138 learned clauses."""
+    def placed(positive, pigeon, hole):
+        return Literal(positive, "in", (App(f"p{pigeon}", ()), App(f"h{hole}", ())))
+
+    clauses = [Clause([placed(True, i, j) for j in range(5)]) for i in range(6)]
+    for j in range(5):
+        for i1, i2 in itertools.combinations(range(6), 2):
+            clauses.append(Clause([placed(False, i1, j), placed(False, i2, j)]))
+    grounder = Grounder(clauses)
+    refute(clauses, grounder)
+    assert grounder.level == 0
+    assert len(grounder.solver.learned) == 138
+
+
+def refuted_at_load(clauses) -> Derivation:
+    """A refutation whose conflict add_clause found, before any search."""
+    grounder = Grounder(clauses)
+    derivation = refute(clauses, grounder)
+    assert grounder.solver.conflict == [] and grounder.solver.conflicts == 0
+    return derivation
+
+
+def test_a_clash_at_load_time_is_refuted():
+    refuted_at_load([Clause([Literal(True, "p", (a,))]), Clause([Literal(False, "p", (a,))])])
+
+
+def test_an_instance_emptied_at_load_time_is_refuted():
+    """p(a) and q(a) falsify both literals of the instance ~p(a) | ~q(a)."""
+    derivation = refuted_at_load([
+        Clause([Literal(True, "p", (a,))]),
+        Clause([Literal(True, "q", (a,))]),
+        Clause([Literal(False, "p", (X,)), Literal(False, "q", (X,))]),
+    ])
+    assert len([s for s in derivation.steps if isinstance(s.rule, Resolution)]) == 2
 
 
 def test_grounding_obeys_the_time_limit():

@@ -120,7 +120,7 @@ def test_clause_added_after_a_satisfiable_solve_is_checked_from_level_0():
     assert solver.assignment()[1] is False  # x1 was decided false
     solver.add_clause([1])
     assert solver.solve() is True
-    assert not solver.failed
+    assert solver.conflict is None
     assert solver.assignment()[1] is True
     assert isinstance(sat_solve(PropClauseSet(2, [[1, 2], [1]])), Sat)
 
@@ -299,3 +299,59 @@ def test_model_finder_conflicts_are_pinned(hypotheses, monkeypatch, name, confli
     assert find_model(units, max_size=8) == NoModelUpTo(8)
     assert len(solvers) == 4
     assert sum(s.conflicts for s in solvers) == conflicts
+
+
+# -- the trace a refutation is replayed from -------------------------------------
+
+
+def replayed(chain) -> set[int]:
+    """Resolve a chain's conflict with each reason, which clashes with it once."""
+    clause = set(chain[0])
+    for reason in chain[1:]:
+        (lit,) = [lit for lit in reason if -lit in clause]
+        clause = (clause - {-lit}) | (set(reason) - {lit})
+    return clause
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [random_3sat(seed, 100, 420) for seed in (2, 3, 7)]
+    + [pigeonhole(6, 5), pigeonhole(7, 6)],
+    ids=["3sat-2", "3sat-3", "3sat-7", "php-6-5", "php-7-6"],
+)
+def test_each_chain_resolves_to_its_learned_clause(problem):
+    """Up to literals false at level 0, each of which has a reason there."""
+    solver, verdict = solved(problem)
+    assert len(solver.chains) == len(solver.learned) > 0
+    at_level_0 = {lit for lit in solver.trail if solver.level[abs(lit)] == 0}
+    for lit in at_level_0:
+        assert lit in solver.reason[abs(lit)]
+    for learned, chain in zip(solver.learned, solver.chains):
+        clause = replayed(chain)
+        assert set(learned) <= clause
+        assert {-lit for lit in clause - set(learned)} <= at_level_0
+    assert (solver.conflict is None) is verdict
+    if not verdict:
+        assert all(-lit in at_level_0 for lit in solver.conflict)
+
+
+def test_clashing_units_leave_the_falsified_clause_as_conflict():
+    solver = CdclSolver(2)
+    assert solver.add_clause([1, 2]) == [1, 2]
+    first = solver.add_clause([1, -2])
+    assert solver.add_clause([-1]) == [-1]
+    assert solver.conflict is first  # -1 forces 2, and then [1, -2] is false
+    assert solver.add_clause([2]) is None
+    assert solver.solve() is False
+
+
+def test_a_clause_emptied_at_level_0_is_the_conflict():
+    solver = CdclSolver(3)
+    solver.add_clause([1])
+    assert solver.add_clause([-1, 2, 2, 3]) == [2, 3]  # -1 is false at level 0
+    assert solver.add_clause([1, 3]) is None  # satisfied
+    assert solver.add_clause([3, -3]) is None  # a tautology
+    assert solver.add_clause([-2]) == [-2]
+    emptied = solver.add_clause([-1, 2])
+    assert emptied == [] and solver.conflict is emptied
+    assert solver.solve() is False
