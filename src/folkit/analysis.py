@@ -7,6 +7,8 @@ fixed round-robin schedule measured in work units, never in time:
 saturation (given-clause selections), finite model search (solver
 conflicts) and Herbrand-level grounding (ground instances and solver
 conflicts), so identical inputs yield identical verdicts and witnesses.
+Grounding starts in the first round and climbs its levels as far as
+its share of saturation's work allows.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ STATUSES = ("Unsatisfiable", "Satisfiable", "Theorem", "CounterSatisfiable", "Un
 # saturation side, solver conflicts on the model and grounding sides
 _SELECTION_SLICE = 50
 _CONFLICT_SLICE = 2000
-# a grounding level starts once saturation has generated this many
-# clauses per ground instance that the levels up to it enumerate
-_GENERATED_PER_INSTANCE = 2
+# a grounding level may start while the levels before it enumerated at
+# most this many ground instances per clause saturation has generated:
+# an instance costs about 8 us to ground, solve and replay, a generated
+# clause 50-70 us
+_INSTANCES_PER_GENERATED = 8
 
 
 class PreconditionViolated(Exception):
@@ -64,7 +68,8 @@ class RunStats:
     """Resource usage of one reasoning run.
 
     engine names what answered: "saturation", "grounding" or "models";
-    it is None when nothing did.
+    it is None when nothing did.  clauses_generated counts saturation's
+    clauses, also when another engine answered.
     """
 
     elapsed: float = 0.0
@@ -134,15 +139,19 @@ def _with_equality(clauses: list[Clause], signature: Signature) -> list[Clause]:
 def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict:
     """Run saturation, model search and grounding interleaved; first decisive answer wins.
 
-    Each round gives saturation _SELECTION_SLICE selections and the
-    model finder _CONFLICT_SLICE conflicts.  The grounder gets a round
-    of _CONFLICT_SLICE conflicts while a level is loaded; it starts
-    level k only while saturation is still searching and has generated
-    _GENERATED_PER_INSTANCE clauses per instance that levels 0..k
-    enumerate, so a set that saturation refutes quickly never pays for
-    grounding.  It grounds reflexivity as the only equality axiom, and
-    sits out when a clause has a positive equality literal.  A
-    Saturated prover stops it, since the set then has no refutation.
+    Each round gives saturation _SELECTION_SLICE selections, then the
+    model finder _CONFLICT_SLICE conflicts, then the grounder its turn.
+    In its turn the grounder solves the loaded level for up to
+    _CONFLICT_SLICE conflicts, and while saturation is still searching
+    it starts level after level as long as the levels before each
+    enumerated at most _INSTANCES_PER_GENERATED ground instances per
+    clause saturation has generated.  Level 0 thus starts in the first
+    round, and the turn ends when a slice runs out or the next level
+    must wait for saturation.  A set the model finder satisfies in its
+    first slice never pays for grounding.  The grounder grounds
+    reflexivity as the only equality axiom, and sits out when a clause
+    has a positive equality literal.  A Saturated prover stops it,
+    since the set then has no refutation.
     Unsatisfiable comes from saturation or grounding with a refutation
     that check_derivation has passed, Satisfiable from the model finder
     with a verified interpretation; the schedule counts work, not time,
@@ -192,15 +201,15 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
             if found is not None:
                 hunting = False
         if grounding:
-            if grounder.solving or (
-                proving and prover.generated >= _GENERATED_PER_INSTANCE * grounder.cost()
+            while grounder.solving or (
+                proving and grounder.enumerated <= _INSTANCES_PER_GENERATED * prover.generated
             ):
                 outcome = grounder.step(_CONFLICT_SLICE)
                 if isinstance(outcome, Refutation):
                     return refuted(outcome.derivation, "grounding")
-                grounding = outcome is None
-            else:
-                grounding = proving
+                if outcome is not None or grounder.solving:
+                    break  # the grounder is done, or its conflict slice ran out
+            grounding = grounder.result is None and (grounder.solving or proving)
     return verdict("Unknown", None, None)
 
 

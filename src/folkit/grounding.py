@@ -9,6 +9,9 @@ instances are propositionally unsatisfiable.  By Herbrand's theorem an
 unsatisfiable clause set without equality is refuted at some level.
 Terms and atoms are interned as integers, so an instance costs a few
 dictionary lookups and no Clause or Literal is built until a proof is.
+A loaded level keeps each instance only as the solver's copy of its
+literals and the instance's ordinal in the enumeration; a proof
+rebuilds the few instances it cites from their ordinals.
 
 A refutation is replayed from the solver's own trace as in Zhang &
 Malik ("Validating SAT Solvers Using an Independent Resolution-Based
@@ -25,6 +28,7 @@ so check_derivation checks it like any saturation proof.
 from __future__ import annotations
 
 import time
+from array import array
 from itertools import product
 from typing import Iterable, Union
 
@@ -75,6 +79,8 @@ class Grounder:
     instances; either way the search ends as ResourceOut("time-limit").
     A level whose instances would number more than limits.max_clauses
     is not grounded: the search ends as ResourceOut("clause-limit").
+    enumerated counts the instances of the levels grounded so far,
+    tautologies included; analysis._decide paces the levels by it.
 
     The caller chooses the clauses.  A refutation is sound for any
     subset of valid axioms, so reflexivity may stand in for the equality
@@ -93,6 +99,9 @@ class Grounder:
         self.term_keys: list[tuple[str, tuple[int, ...]]] = []
         self.atom_ids: dict[tuple[str, tuple[int, ...]], int] = {}
         self.atom_keys: list[tuple[str, tuple[int, ...]]] = []
+        # negated[atom] is -atom, one int object for every literal that
+        # names it: Python caches no negative int below -5
+        self.negated: list[int] = [0]
         symbols = clause_signature(self.clauses).functions
         names = [name for name, arity in symbols.items() if arity == 0]
         if not names:
@@ -103,12 +112,16 @@ class Grounder:
         self.constants = [self._intern(name, ()) for name in names]
         self.functions = [(name, arity) for name, arity in symbols.items() if arity > 0]
         self.variables = [_variables_in_order(c) for c in self.clauses]
+        self.templates: list | None = None  # compiled by the first level grounded
         self.level = -1
         self.universe: list[int] = []  # terms of depth <= level
         self.enumerated = 0  # instances the levels grounded so far enumerated
         self.solver: CdclSolver | None = None
-        # id of each clause the loaded solver kept -> its ground instance
-        self.instance_of: dict[int, tuple[list[int], int, tuple[int, ...]]] = {}
+        # each clause the loaded solver kept, and the enumeration ordinal
+        # of its instance in the loaded level, from which _instance
+        # rebuilds the instance for a proof
+        self.kept: list[list[int]] = []
+        self.ordinals = array("q")
         self.result: GroundingResult | None = None
 
     # -- interning ----------------------------------------------------------
@@ -147,10 +160,6 @@ class Grounder:
     def _instances(self, size: int) -> int:
         return sum(size ** len(names) for names in self.variables)
 
-    def cost(self) -> int:
-        """Instances that the levels up to and including the next one enumerate."""
-        return self.enumerated + self._instances(self._next_universe_size())
-
     @property
     def solving(self) -> bool:
         """True while a grounded level awaits the solver's answer."""
@@ -158,13 +167,14 @@ class Grounder:
 
     def _ground_level(self) -> None:
         """Ground the next level into a fresh solver; TimeoutError past the deadline."""
-        templates = [
-            [
-                (lit.positive, lit.pred, tuple(self._template(a, names) for a in lit.args))
-                for lit in c.literals
+        if self.templates is None:
+            self.templates = [
+                [
+                    (lit.positive, lit.pred, tuple(self._template(a, names) for a in lit.args))
+                    for lit in c.literals
+                ]
+                for c, names in zip(self.clauses, self.variables)
             ]
-            for c, names in zip(self.clauses, self.variables)
-        ]
         universe = list(self.constants)
         if self.level >= 0:
             for name, arity in self.functions:
@@ -172,12 +182,14 @@ class Grounder:
                     universe.append(self._intern(name, args))
         atom_ids = self.atom_ids
         atom_keys = self.atom_keys
+        negated = self.negated
         term_id = self._term_id
         deadline = self.deadline
-        # (instance literals, clause index, term per variable)
-        ground: list[tuple[list[int], int, tuple[int, ...]]] = []
+        # the literals and enumeration ordinal of each instance but the tautologies
+        ground: list[list[int] | None] = []
+        ordinals = array("q")
         count = 0
-        for index, (names, literals) in enumerate(zip(self.variables, templates)):
+        for names, literals in zip(self.variables, self.templates):
             for values in product(universe, repeat=len(names)):
                 count += 1
                 if count & 1023 == 0 and deadline is not None and time.monotonic() > deadline:
@@ -192,24 +204,54 @@ class Grounder:
                     if atom is None:
                         atom_keys.append(key)
                         atom = atom_ids[key] = len(atom_keys)
-                    lits.append(atom if positive else -atom)
+                        negated.append(-atom)
+                    lits.append(atom if positive else negated[atom])
                 distinct = set(lits)
                 if any(-lit in distinct for lit in lits):
                     continue  # a tautology
                 if len(distinct) < len(lits):
                     lits = list(dict.fromkeys(lits))
-                ground.append((lits, index, values))
+                ground.append(lits)
+                ordinals.append(count - 1)
         solver = CdclSolver(len(atom_keys))
-        instance_of = {}
-        for instance in ground:
-            kept = solver.add_clause(instance[0])
-            if kept is not None:
-                instance_of[id(kept)] = instance
+        kept: list[list[int]] = []
+        kept_ordinals = array("q")
+        for i, ordinal in enumerate(ordinals):
+            lits, ground[i] = ground[i], None  # the solver keeps its own copy
+            clause = solver.add_clause(lits)
+            if clause is not None:
+                kept.append(clause)
+                kept_ordinals.append(ordinal)
         self.level += 1
         self.universe = universe
         self.enumerated += count
-        self.instance_of = instance_of
+        self.kept = kept
+        self.ordinals = kept_ordinals
         self.solver = solver
+
+    def _instance(self, ordinal: int) -> tuple[int, tuple[int, ...], list[int]]:
+        """The clause index, term per variable and literals of the loaded level's instance.
+
+        ordinal counts the instances in the order _ground_level
+        enumerates them: clause by clause, and within a clause in the
+        order of product over the universe, the last variable fastest.
+        """
+        size = len(self.universe)
+        index = 0
+        while ordinal >= size ** len(self.variables[index]):
+            ordinal -= size ** len(self.variables[index])
+            index += 1
+        digits = []
+        for _ in self.variables[index]:
+            ordinal, digit = divmod(ordinal, size)
+            digits.append(self.universe[digit])
+        values = tuple(reversed(digits))
+        lits = []
+        assert self.templates is not None
+        for positive, pred, args in self.templates[index]:
+            atom = self.atom_ids[pred, tuple([self._term_id(a, values) for a in args])]
+            lits.append(atom if positive else -atom)
+        return index, values, list(dict.fromkeys(lits))
 
     def step(self, max_conflicts: int = 2000) -> GroundingResult | None:
         """Ground the next level if none is loaded, then solve up to max_conflicts."""
@@ -235,7 +277,8 @@ class Grounder:
         if not verdict:
             return Refutation(self._derivation())
         self.solver = None
-        self.instance_of = {}
+        self.kept = []
+        self.ordinals = array("q")
         if not self.functions:
             return Saturated()
         return None
@@ -268,6 +311,16 @@ class Grounder:
         steps: dict[int, Step] = {}
         # id of a solver clause -> (step id, ground literals, bindings the step still needs)
         derived: dict[int, tuple[int, list[int], dict[str, Term]]] = {}
+        # the ordinal of each kept clause the replay may cite: those in a
+        # chain, the level-0 reasons and the final conflict
+        cited = {id(c) for chain in solver.chains for c in chain}
+        cited.update(id(reasons[abs(lit)]) for lit in solver.trail)
+        cited.add(id(solver.conflict))
+        ordinal_of = {
+            id(kept): ordinal
+            for kept, ordinal in zip(self.kept, self.ordinals)
+            if id(kept) in cited
+        }
 
         def literal(lit: int) -> Literal:
             got = literals.get(lit)
@@ -283,9 +336,8 @@ class Grounder:
             steps[sid] = Step(sid, clause, rule)
             return sid
 
-        def instance(
-            lits: list[int], index: int, values: tuple[int, ...]
-        ) -> tuple[int, list[int], dict[str, Term]]:
+        def instance(ordinal: int) -> tuple[int, list[int], dict[str, Term]]:
+            index, values, lits = self._instance(ordinal)
             c = self.clauses[index]
             label = ",".join(c.labels) if c.labels else "input"
             if c.ground:
@@ -313,7 +365,7 @@ class Grounder:
         def clause_of(kept: list[int]) -> tuple[int, list[int], dict[str, Term]]:
             got = derived.get(id(kept))
             if got is None:
-                got = derived[id(kept)] = instance(*self.instance_of[id(kept)])
+                got = derived[id(kept)] = instance(ordinal_of[id(kept)])
             return got
 
         def resolve(first, second, pivot: int) -> tuple[int, list[int], dict[str, Term]]:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from folkit import analysis, clausal, models
+from folkit import analysis, clausal, grounding, models, saturation
 from folkit.syntax import And, Atom, Forall, Implies, Not, Var
 from folkit.tptp import parse_tptp
 from folkit.models import Interpretation, evaluate
@@ -120,10 +120,49 @@ def test_stats_are_populated(hypotheses):
     assert verdict.stats.engine == "models"
 
 
-def test_stats_name_the_engine_that_answered(reduced_six):
-    assert check_consistency(reduced_six).stats.engine == "saturation"
+def test_stats_name_the_engine_that_answered(all_twelve):
+    """A positive equality literal keeps the grounder out, so saturation answers."""
+    units = units_of("fof(a, axiom, c = d).\nfof(b, axiom, p(c)).\nfof(n, axiom, ~p(d)).")
+    assert check_consistency(units).stats.engine == "saturation"
+    assert check_consistency(all_twelve).stats.engine == "grounding"
     units = units_of("fof(a, axiom, ?[X] : ?[Y] : ~(X = Y)).")
     assert check_consistency(units, max_size=1).stats.engine is None
+
+
+def test_the_grounder_starts_a_level_only_within_its_share_of_the_work(monkeypatch):
+    """Each level starts while the levels before it enumerated <= 8 instances per generated clause.
+
+    The set's smallest model has size 2, so under max_size=1 the model
+    finder cannot answer, saturation never ends before its clause limit,
+    and every grounding level is satisfiable.
+    """
+    provers, starts = [], []
+
+    class Recording(analysis.Prover):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            provers.append(self)
+
+    ground_level = grounding.Grounder._ground_level
+
+    def recording(self):
+        starts.append((self.enumerated, provers[-1].generated))
+        return ground_level(self)
+
+    monkeypatch.setattr(analysis, "Prover", Recording)
+    monkeypatch.setattr(grounding.Grounder, "_ground_level", recording)
+    units = units_of(
+        "fof(a, axiom, p(a)).\n"
+        "fof(b, axiom, ![X] : (p(X) => q(f(X)))).\n"
+        "fof(c, axiom, ![X] : (q(X) => p(f(X)))).\n"
+        "fof(d, axiom, ![X] : ~(p(X) & q(X))).\n"
+    )
+    verdict = check_consistency(units, limits=Limits(max_clauses=500), max_size=1)
+    assert verdict.status == "Unknown"
+    assert len(starts) > 10
+    assert all(enumerated <= 8 * generated for enumerated, generated in starts)
+    # some level waited for saturation to catch up
+    assert any(e > 8 * g for (_, g), (e, _) in zip(starts, starts[1:]))
 
 
 @pytest.mark.parametrize(
@@ -386,26 +425,36 @@ def test_extract_mus_reports_a_deletion_past_max_size_as_uncertified():
 def test_extract_mus_asks_an_unknown_probe_again_once_the_core_shrinks(
     monkeypatch, hypotheses
 ):
-    """The ax8 probe runs out, and a probe of the final core certifies ax8.
+    """The ax8 probe runs out of time, and a probe of the final core certifies ax8.
 
-    Deleting ax8 from these eight leaves core9 plus ax11.  Saturation
-    refutes it only after 32,938 generated clauses, and the grounder at
-    level 1, which it starts only once saturation has generated 4,472;
-    both lie past max_clauses.  The input needs 2,980 generated clauses.
-    The deletions of ax9 and ax11 then stick, and the six minus ax8 has
-    a model.
+    Deleting ax8 from these eight leaves core9 plus ax11.  The engines
+    read a clock that stands still, except during that probe, when each
+    read moves it 1,000 s: every engine passes its deadline at its first
+    check, and the probe ends Unknown.  The deletions of ax9 and ax11
+    then stick, and the six minus ax8 has a model.
     """
+    now = [0.0]
+    tick = [0.0]
+
+    def clock():
+        now[0] += tick[0]
+        return now[0]
+
+    for module in (saturation, models, grounding):
+        monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=clock))
     statuses = []
     decide = analysis._decide
 
     def recording(units, limits, max_size):
+        labels = {u.label for u in units}
+        tick[0] = 1000.0 if labels == {"ax4", "ax5", "ax7", "ax9", "ax10", "ax11", "ax12"} else 0.0
         verdict = decide(units, limits, max_size)
         statuses.append(verdict.status)
         return verdict
 
     monkeypatch.setattr(analysis, "_decide", recording)
     labels = ["ax4", "ax5", "ax7", "ax8", "ax9", "ax10", "ax11", "ax12"]
-    report = extract_mus([hypotheses[l] for l in labels], Limits(max_clauses=4000))
+    report = extract_mus([hypotheses[l] for l in labels])
     assert "Unknown" in statuses
     assert report.core == ["ax4", "ax5", "ax7", "ax8", "ax10", "ax12"]
     # ax4, ax5 and ax7 keep their probes' models of the seven-axiom sets

@@ -1,11 +1,14 @@
 """Herbrand-level grounding: refutations that the trusted checker accepts."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from folkit.analysis import saturation_inputs
 from folkit.clausal import Clause, Literal, clausify
 from folkit.grounding import Grounder
 from folkit.saturation import (
@@ -154,6 +157,49 @@ def test_a_level_past_max_clauses_is_not_grounded():
     assert grounder.step() is None  # level 0: 4 + 2 + 1 instances, satisfiable
     assert grounder.step() == ResourceOut("clause-limit")
     assert grounder.level == 0
+
+
+# -- the asylum sets ------------------------------------------------------------
+
+def asylum_clauses(hypotheses, numbers):
+    """What analysis grounds: the clauses and, of the equality axioms, reflexivity."""
+    units = [hypotheses[f"ax{n}"] for n in numbers]
+    return saturation_inputs(units)[: len(clausify(units)) + 1]
+
+
+@pytest.mark.parametrize(
+    "numbers, level, digest",
+    [
+        ((4, 5, 7, 9, 10, 12), 1, "f2daf4b65169"),
+        ((4, 5, 7, 8, 10, 12), 2, "61360fe5552b"),
+        (tuple(range(1, 13)), 1, "3b5c616b21d9"),
+        ((4, 5, 6, 7, 9, 11, 12), 1, "e1304bfb2be1"),
+    ],
+    ids=["core9", "six", "twelve", "mus7"],
+)
+def test_asylum_proofs_are_pinned(hypotheses, numbers, level, digest):
+    """Instances rebuilt from their ordinals give the proofs of stored instances."""
+    clauses = asylum_clauses(hypotheses, numbers)
+    grounder = Grounder(clauses)
+    derivation = refute(clauses, grounder)
+    assert grounder.level == level
+    text = format_derivation(derivation)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+
+
+def test_the_six_level_2_peaks_below_1_5_mb(hypotheses):
+    """Grounding, solving and replaying 6,557 instances; 3.39 MB when each was stored whole."""
+    grounder = Grounder(asylum_clauses(hypotheses, (4, 5, 7, 8, 10, 12)))
+    while grounder.level < 1 or grounder.solving:
+        assert grounder.step(10_000) is None
+    tracemalloc.start()
+    try:
+        result = grounder.step(10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, Refutation) and grounder.level == 2
+    assert peak < 1.5e6
 
 
 # -- the checker rejects tampered grounder proofs ----------------------------
