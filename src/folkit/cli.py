@@ -224,7 +224,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--clause-limit", type=int, default=Limits.max_clauses, metavar="N",
-        help="generated-clause budget (default %(default)s)",
+        help="most clauses saturation generates, and most ground instances "
+        "per grounder level or model size (default %(default)s)",
     )
     parser.add_argument(
         "--proof-out", metavar="PATH", help="write the refutation here"

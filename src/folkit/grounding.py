@@ -185,9 +185,8 @@ class Grounder:
         negated = self.negated
         term_id = self._term_id
         deadline = self.deadline
-        # the literals and enumeration ordinal of each instance but the tautologies
+        # the literals of each instance, at its enumeration ordinal
         ground: list[list[int] | None] = []
-        ordinals = array("q")
         count = 0
         for names, literals in zip(self.variables, self.templates):
             for values in product(universe, repeat=len(names)):
@@ -206,27 +205,22 @@ class Grounder:
                         atom = atom_ids[key] = len(atom_keys)
                         negated.append(-atom)
                     lits.append(atom if positive else negated[atom])
-                distinct = set(lits)
-                if any(-lit in distinct for lit in lits):
-                    continue  # a tautology
-                if len(distinct) < len(lits):
-                    lits = list(dict.fromkeys(lits))
                 ground.append(lits)
-                ordinals.append(count - 1)
         solver = CdclSolver(len(atom_keys))
         kept: list[list[int]] = []
-        kept_ordinals = array("q")
-        for i, ordinal in enumerate(ordinals):
-            lits, ground[i] = ground[i], None  # the solver keeps its own copy
+        ordinals = array("q")
+        # add_clause drops tautologies and repeated literals, and keeps its own copy
+        for ordinal, lits in enumerate(ground):
+            ground[ordinal] = None
             clause = solver.add_clause(lits)
             if clause is not None:
                 kept.append(clause)
-                kept_ordinals.append(ordinal)
+                ordinals.append(ordinal)
         self.level += 1
         self.universe = universe
         self.enumerated += count
         self.kept = kept
-        self.ordinals = kept_ordinals
+        self.ordinals = ordinals
         self.solver = solver
 
     def _instance(self, ordinal: int) -> tuple[int, tuple[int, ...], list[int]]:

@@ -137,41 +137,32 @@ class GroundTable:
 
 def _flatten_clause(
     clause: Clause,
-) -> tuple[list[tuple], list[tuple[str, tuple[str, ...], str]], list[str]]:
+) -> tuple[int, list[tuple[str, tuple[int, ...], int]], list[tuple[bool, str, tuple[int, ...]]]]:
     """Replace nested function terms by fresh clause-local variables.
 
-    Returns (flat literals, cell requirements, ordered variable names).
-    A flat literal is ("pred", positive, name, argvars) or
-    ("eq", positive, lhsvar, rhsvar); each requirement (f, argvars, out)
-    later grounds to a negated function-graph cell.
+    Returns (variable count, cell requirements, flat literals).  The
+    variables are numbered 0, 1, ... by first occurrence, left to right,
+    a term's arguments before the fresh variable that names the term.
+    Each requirement (f, argument indices, value index) later grounds to
+    a negated function-graph cell; a flat literal is (positive,
+    predicate or "=", argument indices).
     """
-    order: dict[str, None] = {}
-    apps: dict[App, str] = {}
-    reqs: list[tuple[str, tuple[str, ...], str]] = []
+    index: dict[str | App, int] = {}  # a variable by name, a function term by itself
+    reqs: list[tuple[str, tuple[int, ...], int]] = []
 
-    def walk(t: Term) -> str:
+    def walk(t: Term) -> int:
         if isinstance(t, Var):
-            order.setdefault(t.name, None)
-            return t.name
+            return index.setdefault(t.name, len(index))
         assert isinstance(t, App)
-        known = apps.get(t)
-        if known is not None:
-            return known
-        argnames = tuple(walk(a) for a in t.args)
-        fresh = f"_val{len(apps)}"
-        apps[t] = fresh
-        order.setdefault(fresh, None)
-        reqs.append((t.op, argnames, fresh))
-        return fresh
+        known = index.get(t)
+        if known is None:
+            args = tuple(walk(a) for a in t.args)
+            known = index[t] = len(index)
+            reqs.append((t.op, args, known))
+        return known
 
-    flat: list[tuple] = []
-    for lit in clause.literals:
-        names = tuple(walk(a) for a in lit.args)
-        if lit.pred == EQ:
-            flat.append(("eq", lit.positive, names[0], names[1]))
-        else:
-            flat.append(("pred", lit.positive, lit.pred, names))
-    return flat, reqs, list(order)
+    flat = [(lit.positive, lit.pred, tuple(walk(a) for a in lit.args)) for lit in clause.literals]
+    return len(index), reqs, flat
 
 
 def ground(
@@ -188,7 +179,11 @@ def ground(
     if some earlier constant takes d - 1.  This is sound because models
     are closed under domain relabelling, and numbering the elements in
     the order the constants first take them gives a model of this form.
-    A clause with k variables takes n^k assignments.  Past deadline, a
+    A clause with k variables, counting one per nested function term,
+    takes n^k assignments.  An assignment that makes an equality literal
+    true gives no clause; every other gives its raw instance, less the
+    false equality literals, which may repeat a literal or be a
+    tautology: CdclSolver.add_clause drops those.  Past deadline, a
     value of time.monotonic(), grounding raises TimeoutError; it reads
     the clock once per 1,024 function cells and once per 1,024
     assignments.
@@ -245,8 +240,8 @@ def ground(
 
     assignments = 0
     for clause in clauses:
-        flat, reqs, names = _flatten_clause(clause)
-        for values in product(range(n), repeat=len(names)):
+        width, reqs, flat = _flatten_clause(clause)
+        for values in product(range(n), repeat=width):
             assignments += 1
             if (
                 assignments & 1023 == 0
@@ -254,36 +249,19 @@ def ground(
                 and time.monotonic() > deadline
             ):
                 raise TimeoutError(f"grounding at size {n} ran past its deadline")
-            env = dict(zip(names, values))
-            lits: list[int] = []
-            satisfied = False
-            for fname, argnames, res in reqs:
-                key = (fname, tuple(env[a] for a in argnames), env[res])
-                lits.append(-cell_vars[key])
-            for entry in flat:
-                if entry[0] == "eq":
-                    _, positive, lhs, rhs = entry
-                    if (env[lhs] == env[rhs]) == positive:
-                        satisfied = True
-                        break
-                    continue  # literal is false here; drop it
-                _, positive, pred, argnames = entry
-                var = atom_var(pred, tuple(env[a] for a in argnames))
+            lits = [
+                -cell_vars[fname, tuple([values[a] for a in args]), values[res]]
+                for fname, args, res in reqs
+            ]
+            for positive, pred, args in flat:
+                if pred == EQ:
+                    if (values[args[0]] == values[args[1]]) == positive:
+                        break  # a true equality literal satisfies the instance
+                    continue  # a false one is left out
+                var = atom_var(pred, tuple([values[a] for a in args]))
                 lits.append(var if positive else -var)
-            if satisfied:
-                continue
-            seen: set[int] = set()
-            deduped: list[int] = []
-            for lit in lits:
-                if -lit in seen:
-                    satisfied = True
-                    break
-                if lit not in seen:
-                    seen.add(lit)
-                    deduped.append(lit)
-            if satisfied:
-                continue
-            out.append(deduped)
+            else:
+                out.append(lits)
 
     table = GroundTable(n, functions, predicates, cell_vars, atom_vars)
     return PropClauseSet(counter, out), table
@@ -342,7 +320,9 @@ class ModelSearch:
     The time limit counts from construction: once it has passed, step()
     grounds no further size and runs no further solver slice, and a
     grounding that runs past it is cut short; either way the search ends
-    as ResourceOut("time-limit").
+    as ResourceOut("time-limit").  A size whose clauses would ground to
+    more than limits.max_clauses instances is not grounded, nor counted
+    in sizes_tried: the search ends as ResourceOut("clause-limit").
     Sizes go up by one, so a caller that interleaves this search with
     saturation pays for the cheap small sizes first.  find_model instead
     doubles the size when no clause has a positive equality literal:
@@ -360,10 +340,14 @@ class ModelSearch:
             raise ValueError("max_size must be at least 1")
         max_seconds = limits.max_seconds if limits is not None else None
         self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
+        self.max_clauses = limits.max_clauses if limits is not None else None
         self.units = list(units)
         self.max_size = max_size
         self.signature = signature_of(u.formula for u in self.units)
         self.clauses = clausify(self.units)
+        # the variable count of each flattened clause: size n grounds
+        # sum(n ** width) instances
+        self.widths = [_flatten_clause(c)[0] for c in self.clauses]
         self.size = 0
         self.solver: CdclSolver | None = None
         self.table: GroundTable | None = None
@@ -382,6 +366,8 @@ class ModelSearch:
         return self._ground(self.size + 1)
 
     def _ground(self, size: int) -> ModelSearchResult | None:
+        if self.max_clauses is not None and sum(size**w for w in self.widths) > self.max_clauses:
+            return ResourceOut("clause-limit")
         self.size = size
         self.sizes_tried.append(size)
         try:

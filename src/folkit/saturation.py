@@ -213,21 +213,30 @@ def _embed(
     used: int,
     bindings: dict[str, Term],
     trail: list[str],
+    deadline: float | None = None,
 ) -> bool:
     """Backtracking injective matcher mapping c_lits into unused literals of d.
 
     d_groups is _grouped(d.literals), so a caller matching many clauses
-    into one d builds it once.
+    into one d builds it once.  The backtracking can take time
+    exponential in len(c_lits), so given a deadline, a value of
+    time.monotonic(), it reads the clock once per 4,096 match attempts
+    and raises TimeoutError once the deadline has passed.
     """
     n = len(c_lits)
+    attempts = 0
 
     def extend(i: int, used: int) -> bool:
+        nonlocal attempts
         if i == n:
             return True
         lit = c_lits[i]
         for j, cand in d_groups.get((lit.positive, lit.pred), ()):
             if used & (1 << j):
                 continue
+            attempts += 1
+            if attempts & 4095 == 0 and deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("a subsumption query ran past its deadline")
             mark = len(trail)
             if _match_args(lit.args, cand.args, bindings, trail):
                 if extend(i + 1, used | (1 << j)):
@@ -420,7 +429,13 @@ SaturationResult = Union[Refutation, Saturated, ResourceOut]
 
 @dataclass
 class Limits:
-    """Resource bounds; None lifts a bound.  0 seconds runs out at once."""
+    """Resource bounds; None lifts a bound.  0 seconds runs out at once.
+
+    max_clauses bounds the clauses saturation generates, and the ground
+    instances that each Herbrand level of the grounder and each domain
+    size of the model finder would enumerate; a level or size over it is
+    not grounded.
+    """
 
     max_clauses: int | None = 10**6
     max_seconds: float | None = 60.0
@@ -652,9 +667,12 @@ class _SubsumptionIndex:
     and clamping only ever lets extra candidates through to the matcher.
     Two feature families are packed separately: literal (sign, predicate)
     pairs, and rigid argument heads (sign, predicate, position, function).
+    A query past deadline, a value of time.monotonic(), raises
+    TimeoutError from the matcher.
     """
 
-    def __init__(self):
+    def __init__(self, deadline: float | None = None):
+        self.deadline = deadline
         self.ground_exact: set = set()
         self.ground_buckets: dict = {}
         self.lit_rank: dict = {}
@@ -754,7 +772,7 @@ class _SubsumptionIndex:
                             used |= 1 << j
                 if d_groups is None:
                     d_groups = _grouped(d_lits)
-                if _embed(var_part, d_groups, used, {}, []):
+                if _embed(var_part, d_groups, used, {}, [], self.deadline):
                     return True
         return False
 
@@ -766,12 +784,16 @@ class Prover:
     while undecided, so callers can interleave saturation with other
     work, as with models.ModelSearch.step.  Once a step returns a
     result, every later step returns that same result.  Inputs are
-    renamed apart on intake.
+    renamed apart on intake.  The time limit counts from construction.
+    The search reads the clock at each selection and once per 256
+    generated clauses, and a forward-subsumption query once per 4,096
+    match attempts; past the limit, it ends as ResourceOut("time-limit").
     """
 
     def __init__(self, clauses: Iterable[Clause], limits: Limits | None = None):
         self.limits = limits or Limits()
-        self.start = time.monotonic()
+        max_seconds = self.limits.max_seconds
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
         self.supply = VariableSupply()
         self.steps: dict[int, Step] = {}
         self.clauses: dict[int, Clause] = {}
@@ -781,7 +803,7 @@ class Prover:
         self.selections = 0
         inputs = list(clauses)
         self.precedence = symbol_precedence(inputs)
-        self.subsumption = _SubsumptionIndex()
+        self.subsumption = _SubsumptionIndex(self.deadline)
         # (sign, pred) -> [(clause id, literal index)] over processed clauses
         self.occurrences: dict[tuple[bool, str], list[tuple[int, int]]] = {}
         # literals built by resolvents, by (sign, predicate, args)
@@ -793,14 +815,16 @@ class Prover:
         self.result: SaturationResult | None = self._intake(inputs)
 
     def out_of_time(self) -> bool:
-        limit = self.limits.max_seconds
-        return limit is not None and time.monotonic() - self.start > limit
+        return self.deadline is not None and time.monotonic() > self.deadline
 
     def is_redundant(self, c: Clause) -> bool:
         # forward subsumption only, so every stored clause is still live
         if c.is_tautology():
             return True
-        return self.subsumption.subsumed(c)
+        try:
+            return self.subsumption.subsumed(c)
+        except TimeoutError:
+            return False  # keeping a clause is always sound, and _search stops on the clock
 
     def keep(self, c: Clause, rule: Rule) -> Step:
         cid = self.next_id
@@ -949,8 +973,11 @@ class Prover:
                 if clause.is_tautology():
                     continue
                 simplified, cuts = self._unit_deletions(clause)
-                if simplified.literals and self.subsumption.subsumed(simplified):
-                    continue
+                try:
+                    if simplified.literals and self.subsumption.subsumed(simplified):
+                        continue
+                except TimeoutError:
+                    return ResourceOut("time-limit", self.generated)
                 is_factoring, parents, positions, mgu = payload
                 if is_factoring:
                     rule: Rule = Factoring(parents, positions, Substitution(mgu))

@@ -270,9 +270,22 @@ def test_grounding_stops_at_its_deadline():
 
 def test_model_search_time_limit_bounds_grounding():
     start = time.monotonic()
-    result = find_model(_deep_disequation(198), limits=folkit.Limits(max_seconds=1.0))
+    limits = folkit.Limits(max_clauses=None, max_seconds=1.0)
+    result = find_model(_deep_disequation(198), limits=limits)
     assert time.monotonic() - start < 10.0
     assert result == folkit.ResourceOut("time-limit")
+
+
+def test_model_search_clause_limit_bounds_grounding():
+    """Size 2 would ground 2**200 instances, so it is not grounded at all."""
+    start = time.monotonic()
+    search = ModelSearch(_deep_disequation(198), limits=folkit.Limits(max_seconds=20))
+    result = None
+    while result is None:
+        result = search.step()
+    assert time.monotonic() - start < 1.0
+    assert result == folkit.ResourceOut("clause-limit")
+    assert search.sizes_tried == [1]
 
 
 def test_model_search_step_stops_at_its_deadline(reduced_six):

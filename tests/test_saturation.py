@@ -3,9 +3,11 @@
 import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from folkit import saturation
 from folkit.syntax import App, Substitution, Var
 from folkit.analysis import saturation_inputs
 from folkit.clausal import Clause, Literal, clause_str, clausify
@@ -341,6 +343,41 @@ def test_saturate_respects_time_limit(reduced_six):
     result = saturate(clauses, Limits(max_clauses=None, max_seconds=0.0))
     assert isinstance(result, ResourceOut)
     assert result.reason == "time-limit"
+
+
+def test_a_subsumption_query_stops_at_the_deadline(monkeypatch):
+    """The time limit passes inside one forward-subsumption query, which ends the search.
+
+    The third given clause resolves ~r(a) away, leaving the ~p edges of
+    a complete bipartite graph on 3 + 3 nodes, both ways.  An odd cycle
+    of ~p literals maps into no bipartite graph, so the query fails only
+    after the matcher has tried every walk.  The clock reads one
+    millisecond per match attempt, so a 5 s limit passes 5,000 attempts
+    into the query; the matcher reads the clock once per 4,096 attempts.
+    """
+    attempts = [0]
+    match = saturation._match_args
+
+    def counting(*args):
+        attempts[0] += 1
+        return match(*args)
+
+    monkeypatch.setattr(saturation, "_match_args", counting)
+    monkeypatch.setattr(saturation, "time", SimpleNamespace(monotonic=lambda: attempts[0] / 1000))
+    left = [App(f"a{i}", ()) for i in range(3)]
+    right = [App(f"b{i}", ()) for i in range(3)]
+    edges = [Literal(False, "p", pair) for x in left for y in right for pair in ((x, y), (y, x))]
+    nodes = [Var(f"X{i}") for i in range(7)]
+    cycle = [Literal(False, "p", (nodes[i], nodes[(i + 1) % 7])) for i in range(7)]
+    clauses = [
+        Clause([Literal(False, "r", (a,))] + edges),
+        Clause(cycle),
+        Clause([Literal(True, "r", (a,))]),
+    ]
+    prover = Prover(clauses, Limits(max_clauses=None, max_seconds=5.0))
+    assert prover.step() == ResourceOut("time-limit", 1)
+    assert prover.selections == 3
+    assert attempts[0] <= 5_000 + 4_096
 
 
 @pytest.mark.parametrize(
