@@ -3,7 +3,8 @@
 Every report begins with an SZS status line.  Exit status is 0 for a
 decisive verdict (Theorem, CounterSatisfiable, Unsatisfiable,
 Satisfiable), 1 when the tool had to give up (Unknown), and 2 for
-input problems such as unreadable files or parse errors.  Identical
+input problems such as unreadable files or parse errors, and for a
+--proof-out or --model-out path that cannot be written.  Identical
 input and flags produce byte-identical reports.
 """
 
@@ -87,15 +88,20 @@ def _load(config: RunConfig) -> Problem:
 
 def _write_artifacts(
     config: RunConfig, verdict: Verdict, signature: Signature | None = None
-) -> None:
+) -> bool:
+    """Write the witness where --proof-out or --model-out asks; False if that fails."""
     if config.proof_out and isinstance(verdict.witness, Derivation):
-        Path(config.proof_out).write_text(
-            format_derivation(verdict.witness), encoding="utf-8"
-        )
-    if config.model_out and isinstance(verdict.witness, Interpretation):
-        Path(config.model_out).write_text(
-            format_verdict(verdict, signature), encoding="utf-8"
-        )
+        path, text = config.proof_out, format_derivation(verdict.witness)
+    elif config.model_out and isinstance(verdict.witness, Interpretation):
+        path, text = config.model_out, format_verdict(verdict, signature)
+    else:
+        return True
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _checked_line(ok: bool) -> str:
@@ -130,7 +136,8 @@ def _report(config: RunConfig, verdict: Verdict, basis, out) -> int:
     if config.check:
         ok = verify_verdict(verdict, basis)
         out.write(_checked_line(ok))
-    _write_artifacts(config, verdict, signature)
+    if not _write_artifacts(config, verdict, signature):
+        return EXIT_INPUT
     return EXIT_DECISIVE if ok and verdict.status in DECISIVE else EXIT_UNKNOWN
 
 
@@ -171,7 +178,8 @@ def _run_mus(config: RunConfig, problem: Problem, out) -> int:
             for dropped, model in report.deletions.items()
         )
         out.write(_checked_line(ok))
-    _write_artifacts(config, refuted)
+    if not _write_artifacts(config, refuted):
+        return EXIT_INPUT
     return EXIT_UNKNOWN if not ok else EXIT_DECISIVE
 
 

@@ -312,22 +312,27 @@ ModelSearchResult = Union[Model, NoModelUpTo, ResourceOut]
 
 
 class ModelSearch:
-    """Resumable search for a finite model at sizes 1..max_size, ascending.
+    """Resumable search for the smallest finite model of size at most max_size.
 
     step() runs a bounded number of solver conflicts and returns None
     while undecided, so callers can interleave model search with other
     work.  Verdicts are deterministic and come from the smallest size.
+    When no clause has a positive equality literal, a model of size n
+    gives one of size n+1: copy any element.  Each literal without
+    equality keeps its truth value on the copy, and a negative equality
+    literal can only turn true.  So no model at size s means none at any
+    size up to s, and the search tries sizes 1, 2, 4, ... up to
+    max_size.  Once a size has a model, the sizes between the last one
+    without a model and it are tried in ascending order, and the first
+    model found is returned, so the result is the one an ascending
+    search gives, model included.  A clause set with a positive equality
+    literal is searched at 1..max_size in order.
     The time limit counts from construction: once it has passed, step()
     grounds no further size and runs no further solver slice, and a
     grounding that runs past it is cut short; either way the search ends
     as ResourceOut("time-limit").  A size whose clauses would ground to
     more than limits.max_clauses instances is not grounded, nor counted
     in sizes_tried: the search ends as ResourceOut("clause-limit").
-    Sizes go up by one, so a caller that interleaves this search with
-    saturation pays for the cheap small sizes first.  find_model instead
-    doubles the size when no clause has a positive equality literal:
-    models of such clauses are closed upward in size, so a size without
-    a model rules out every smaller size too (see _DoublingSearch).
     """
 
     def __init__(
@@ -348,22 +353,26 @@ class ModelSearch:
         # the variable count of each flattened clause: size n grounds
         # sum(n ** width) instances
         self.widths = [_flatten_clause(c)[0] for c in self.clauses]
+        self.closed_upward = not has_positive_equality(self.clauses)
+        self.floor = 0  # every size up to floor has no model
+        self.above: Model | None = None  # the smallest model found above floor
         self.size = 0
         self.solver: CdclSolver | None = None
         self.table: GroundTable | None = None
         self.sizes_tried: list[int] = []
         self.done: ModelSearchResult | None = None
 
-    def _next_size(self, found: Model | None = None) -> ModelSearchResult | None:
-        """Ground the next size for the solver; a result if the search ends.
-
-        found is the model of the size just solved, None if it has none.
-        """
-        if found is not None:
-            return found
-        if self.size >= self.max_size:
+    def _next_size(self) -> ModelSearchResult | None:
+        """Ground the next size for the solver; a result if the search ends."""
+        if self.above is not None:
+            if self.above.interpretation.size == self.floor + 1:
+                return self.above
+            return self._ground(self.floor + 1)
+        if self.floor >= self.max_size:
             return NoModelUpTo(self.max_size)
-        return self._ground(self.size + 1)
+        if self.closed_upward:
+            return self._ground(min(max(1, 2 * self.floor), self.max_size))
+        return self._ground(self.floor + 1)
 
     def _ground(self, size: int) -> ModelSearchResult | None:
         if self.max_clauses is not None and sum(size**w for w in self.widths) > self.max_clauses:
@@ -396,7 +405,6 @@ class ModelSearch:
         verdict = self.solver.solve(max_conflicts=max_conflicts)
         if verdict is None:
             return None
-        found = None
         if verdict:
             interp = decode(self.table, self.solver.assignment())
             for unit in self.units:
@@ -404,48 +412,12 @@ class ModelSearch:
                     raise RuntimeError(
                         f"decoded size-{self.size} model fails unit {unit.label}"
                     )
-            found = Model(interp)
+            self.above = Model(interp)
+        else:
+            self.floor = self.size
         self.solver = None
-        self.done = self._next_size(found)
+        self.done = self._next_size()
         return self.done
-
-
-class _DoublingSearch(ModelSearch):
-    """Sizes 1, 2, 4, ... up to max_size when models are closed upward.
-
-    Without a positive equality literal among the clauses, a model of
-    size n gives one of size n+1: copy any element.  Each literal
-    without equality keeps its truth value on the copy, and a negative
-    equality literal can only turn true.  So no model at size s means
-    none at any size up to s.  Once the size doubled to has a model,
-    the sizes between the last one without a model and it are tried in
-    ascending order, and the first model found is returned, so the
-    result is the ascending search's, model included.  A clause set
-    with a positive equality literal is searched in ascending order.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.closed_upward = not has_positive_equality(self.clauses)
-        self.floor = 0  # every size up to floor has no model
-        self.above: Model | None = None  # a model at a larger size
-
-    def _next_size(self, found: Model | None = None) -> ModelSearchResult | None:
-        if not self.closed_upward:
-            return super()._next_size(found)
-        if found is not None:
-            if self.size == self.floor + 1:
-                return found
-            self.above = found
-            return self._ground(self.floor + 1)
-        self.floor = self.size
-        if self.above is not None:
-            if self.size + 1 == self.above.interpretation.size:
-                return self.above
-            return self._ground(self.size + 1)
-        if self.size >= self.max_size:
-            return NoModelUpTo(self.max_size)
-        return self._ground(min(max(1, 2 * self.size), self.max_size))
 
 
 def find_model(
@@ -455,14 +427,11 @@ def find_model(
 ) -> ModelSearchResult:
     """The smallest model of the units of size at most max_size, if any.
 
-    When no clause has a positive equality literal, models are closed
-    upward in size, and the search tries sizes 1, 2, 4, ... up to
-    max_size, then fills in below the first size with a model; see
-    _DoublingSearch.  Otherwise it tries 1..max_size in order.  Either
-    way the result is the one the ascending search gives.  Past the
-    time limit, grounding or solving ends in ResourceOut("time-limit").
+    Steps a ModelSearch, which doubles the size while models are closed
+    upward, in slices of 4,000 conflicts.  Past the time limit, grounding
+    or solving ends in ResourceOut("time-limit").
     """
-    search = _DoublingSearch(units, max_size, limits)
+    search = ModelSearch(units, max_size, limits)
     while True:
         result = search.step(max_conflicts=4000)
         if result is not None:

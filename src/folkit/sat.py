@@ -136,17 +136,22 @@ class CdclSolver:
         false at level 0, and returns the list it keeps, the object that
         chains, reasons and conflict refer to.  Tautologies and satisfied
         clauses are dropped and give None, as does every clause once the
-        set is refuted.  A kept clause left empty is the conflict.
+        set is refuted.  A kept clause left empty is the conflict.  A
+        literal 0, or one whose variable is beyond n, raises
+        PropFormatError, as PropClauseSet does.
         """
         if self.conflict is not None:
             return None
         self._backtrack(0)
         vals = self.vals
+        n = self.n
         seen: set[int] = set()
         clause = []
         for lit in lits:
             if lit in seen:
                 continue
+            if lit == 0 or abs(lit) > n:
+                raise PropFormatError(f"literal {lit} names no variable in 1..{n}")
             if -lit in seen or vals[lit] == 1:
                 return None  # tautology, or already satisfied
             seen.add(lit)

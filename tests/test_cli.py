@@ -230,6 +230,29 @@ def test_countermodel_artifact_from_prove(tmp_path):
     assert target.read_text().startswith("SZS status CounterSatisfiable\n")
 
 
+def test_unwritable_proof_out_is_an_input_error(tmp_path, capsys):
+    path = write_problem(
+        tmp_path, "fof(a, axiom, p(c)).\nfof(b, axiom, ![X] : ~p(X))."
+    )
+    assert main(["prove", path]) == EXIT_DECISIVE
+    report = capsys.readouterr().out
+    target = tmp_path / "missing" / "proof.txt"
+    assert main(["prove", path, "--proof-out", str(target)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
+def test_model_out_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    path = write_problem(tmp_path, "fof(a, axiom, p(c)).")
+    assert main(["model", path]) == EXIT_DECISIVE
+    report = capsys.readouterr().out
+    assert main(["model", path, "--model-out", str(tmp_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 # -- input errors -----------------------------------------------------------------
 
 def test_missing_file_is_an_input_error(capsys):

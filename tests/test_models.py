@@ -31,7 +31,7 @@ from folkit.models import (
     format_interpretation,
     ground,
 )
-from folkit.sat import Sat, Unsat, sat_solve
+from folkit.sat import CdclSolver, Sat, Unsat, sat_solve
 
 from oracles import Interp as OracleInterp, clauses_have_model
 
@@ -320,14 +320,17 @@ def test_model_search_is_deterministic(hypotheses):
     assert first.interpretation == second.interpretation
 
 
+DISTINCT_THREE = (
+    "fof(ab, axiom, a != b).\n"
+    "fof(ac, axiom, a != c).\n"
+    "fof(bc, axiom, b != c).\n"
+)
+AT_MOST_THREE = "fof(three, axiom, ![X] : (X = a | X = b | X = c)).\n"
+
+
 def test_find_model_ascends_when_a_clause_has_positive_equality(monkeypatch):
     """Only size 3 has a model, so sizes 4 and 8 would both say no model."""
-    text = (
-        "fof(ab, axiom, a != b).\n"
-        "fof(ac, axiom, a != c).\n"
-        "fof(bc, axiom, b != c).\n"
-        "fof(three, axiom, ![X] : (X = a | X = b | X = c)).\n"
-    )
+    text = DISTINCT_THREE + AT_MOST_THREE
     sizes = []
     real = folkit.models.ground
 
@@ -378,6 +381,26 @@ def random_units_without_positive_equality(rng: random.Random) -> list[NamedForm
     return parse_tptp("\n".join(lines)).units
 
 
+def ascending_search(units: list[NamedFormula], max_size: int):
+    """The smallest model by grounding and solving sizes 1..max_size in order.
+
+    Each size is solved in slices of 4,000 conflicts, as find_model does.
+    """
+    clauses = clausify(units)
+    signature = signature_of(u.formula for u in units)
+    for size in range(1, max_size + 1):
+        problem, table = ground(clauses, size, signature)
+        solver = CdclSolver(problem.n)
+        for clause in problem.clauses:
+            solver.add_clause(clause)
+        verdict = None
+        while verdict is None:
+            verdict = solver.solve(max_conflicts=4000)
+        if verdict:
+            return Model(decode(table, solver.assignment()))
+    return NoModelUpTo(max_size)
+
+
 def test_doubling_search_agrees_with_the_ascending_search():
     """Same result type, model size and model text as sizes 1..5 in order."""
     rng = random.Random(1309)
@@ -387,10 +410,7 @@ def test_doubling_search_agrees_with_the_ascending_search():
         assert not any(
             lit.positive and lit.pred == "=" for c in clausify(units) for lit in c.literals
         )
-        search = ModelSearch(units, max_size=5)
-        expected = None
-        while expected is None:
-            expected = search.step()
+        expected = ascending_search(units, max_size=5)
         result = find_model(units, max_size=5)
         assert type(result) is type(expected), units
         if isinstance(expected, Model):
@@ -404,10 +424,31 @@ def test_doubling_search_agrees_with_the_ascending_search():
     assert {1, 2, 3, None} <= outcomes
 
 
-def test_interleaved_hunter_still_ascends(reduced_six):
-    """check_consistency's model search tries every size until a refutation."""
+def test_interleaved_hunter_doubles_until_a_refutation(reduced_six):
+    """check_consistency's model search doubles the size, as find_model does."""
     verdict = folkit.check_consistency(reduced_six, limits=folkit.Limits(max_seconds=10.0))
     assert verdict.status == "Unsatisfiable"
+    assert verdict.stats.domain_sizes_tried == [1, 2, 4]
+
+
+def test_interleaved_hunter_fills_in_below_the_first_model():
+    """Size 4 has a model and size 2 none, so size 3 is tried and answers."""
+    units = parse_tptp(DISTINCT_THREE).units
+    verdict = folkit.check_consistency(units)
+    assert verdict.status == "Satisfiable"
+    assert verdict.witness.size == 3
+    assert verdict.stats.domain_sizes_tried == [1, 2, 4, 3]
+    found = find_model(units)
+    assert format_interpretation(verdict.witness) == format_interpretation(
+        found.interpretation
+    )
+
+
+def test_interleaved_hunter_ascends_when_a_clause_has_positive_equality():
+    text = DISTINCT_THREE + AT_MOST_THREE
+    verdict = folkit.check_consistency(parse_tptp(text).units)
+    assert verdict.status == "Satisfiable"
+    assert verdict.witness.size == 3
     assert verdict.stats.domain_sizes_tried == [1, 2, 3]
 
 

@@ -125,6 +125,17 @@ def test_clause_added_after_a_satisfiable_solve_is_checked_from_level_0():
     assert isinstance(sat_solve(PropClauseSet(2, [[1, 2], [1]])), Sat)
 
 
+@pytest.mark.parametrize("clause", [[3, 1], [1, 0], [-3], [1, 2, -5]])
+def test_add_clause_rejects_a_literal_outside_the_variables(clause):
+    """Literal 3 of a 2-variable solver would alias -2 in vals and watches."""
+    solver = CdclSolver(2)
+    with pytest.raises(PropFormatError):
+        solver.add_clause(clause)
+    assert solver.clauses == [] and solver.trail == []
+    assert solver.add_clause([-1]) == [-1]
+    assert solver.solve() is True
+
+
 def test_solver_budget_pauses_and_resumes():
     problem = pigeonhole(5, 4)
     solver = CdclSolver(problem.n)
