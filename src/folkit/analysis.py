@@ -4,22 +4,38 @@ Every decisive verdict carries a witness that has been re-verified
 before it is returned: refutations pass check_derivation, models pass
 evaluate on every input formula.  Three engines run interleaved on a
 fixed round-robin schedule measured in work units, never in time:
-saturation (given-clause selections), finite model search (solver
-conflicts) and Herbrand-level grounding (ground instances and solver
+finite model search (solver conflicts), saturation (given-clause
+selections) and Herbrand-level grounding (ground instances and solver
 conflicts), so identical inputs yield identical verdicts and witnesses.
-Grounding starts in the first round and climbs its levels as far as
-its share of saturation's work allows.
+The model finder takes each round's first turn, and saturation and
+grounding are built at their first turn, so a set with a small model
+pays for neither.  Grounding starts in the first round and climbs its
+levels as far as its share of saturation's work allows.  MUS extraction
+deletes axioms one probe at a time and drops, after each refutation,
+the axioms it does not cite.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .syntax import Falsity, Formula, Not, Signature, free_variables, signature_of
+from .syntax import (
+    App,
+    Falsity,
+    Formula,
+    Not,
+    Signature,
+    Substitution,
+    Term,
+    Var,
+    free_variables,
+    signature_of,
+)
 from .tptp import NamedFormula, Problem
 from .clausal import (
     Clause,
+    Literal,
     clause_signature,
     clausify,
     equality_axioms,
@@ -29,10 +45,12 @@ from .clausal import (
 from .grounding import Grounder
 from .saturation import (
     Derivation,
+    Input,
     Limits,
     Prover,
     Refutation,
     Saturated,
+    Step,
     check_derivation,
     format_derivation,
 )
@@ -69,7 +87,8 @@ class RunStats:
 
     engine names what answered: "saturation", "grounding" or "models";
     it is None when nothing did.  clauses_generated counts saturation's
-    clauses, also when another engine answered.
+    clauses, also when another engine answered, and is 0 when the model
+    finder answered before saturation's first turn.
     """
 
     elapsed: float = 0.0
@@ -137,18 +156,19 @@ def _with_equality(clauses: list[Clause], signature: Signature) -> list[Clause]:
 
 
 def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict:
-    """Run saturation, model search and grounding interleaved; first decisive answer wins.
+    """Run model search, saturation and grounding interleaved; first decisive answer wins.
 
-    Each round gives saturation _SELECTION_SLICE selections, then the
-    model finder _CONFLICT_SLICE conflicts, then the grounder its turn.
+    Each round gives the model finder _CONFLICT_SLICE conflicts, then
+    saturation _SELECTION_SLICE selections, then the grounder its turn.
     In its turn the grounder solves the loaded level for up to
     _CONFLICT_SLICE conflicts, and while saturation is still searching
     it starts level after level as long as the levels before each
     enumerated at most _INSTANCES_PER_GENERATED ground instances per
     clause saturation has generated.  Level 0 thus starts in the first
     round, and the turn ends when a slice runs out or the next level
-    must wait for saturation.  A set the model finder satisfies in its
-    first slice never pays for grounding.  The grounder grounds
+    must wait for saturation.  The prover and the grounder are built at
+    their first turn, so a set the model finder satisfies in its first
+    slice never pays for saturation or grounding.  The grounder grounds
     reflexivity as the only equality axiom, and sits out when a clause
     has a positive equality literal.  A Saturated prover stops it,
     since the set then has no refutation.
@@ -156,23 +176,28 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     that check_derivation has passed, Satisfiable from the model finder
     with a verified interpretation; the schedule counts work, not time,
     so reports do not depend on timing.  Each engine stops on its own
-    clock once limits.max_seconds has passed; when all have stopped
-    without an answer, it is Unknown.
+    clock once limits.max_seconds has passed since the decision began,
+    also an engine built late; when all have stopped without an
+    answer, it is Unknown.
     """
     start = time.monotonic()
     hunter = ModelSearch(units, max_size=max_size, limits=limits)
     # the model finder's clauses are what saturation_inputs would build
     clauses = _with_equality(hunter.clauses, hunter.signature)
-    prover = Prover(clauses, limits)
-    grounder = None
-    if not has_positive_equality(hunter.clauses):
-        # of the equality axioms only reflexivity, which equality_axioms lists first
-        grounder = Grounder(clauses[: len(hunter.clauses) + 1], limits)
+    prover: Prover | None = None
+    grounder: Grounder | None = None
+
+    def time_left() -> Limits:
+        """The limits of an engine built now, with the decision's deadline."""
+        if limits.max_seconds is None:
+            return limits
+        left = limits.max_seconds - (time.monotonic() - start)
+        return Limits(limits.max_clauses, max(left, 0.0))
 
     def verdict(status: str, witness, engine: str | None) -> Verdict:
         stats = RunStats(
             elapsed=time.monotonic() - start,
-            clauses_generated=prover.generated,
+            clauses_generated=0 if prover is None else prover.generated,
             domain_sizes_tried=list(hunter.sizes_tried),
             engine=engine,
         )
@@ -185,22 +210,27 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
         return verdict("Unsatisfiable", derivation, engine)
 
     proving = hunting = True
-    grounding = grounder is not None
+    grounding = not has_positive_equality(hunter.clauses)
     while proving or hunting or grounding:
-        if proving:
-            result = prover.step(_SELECTION_SLICE)
-            if isinstance(result, Refutation):
-                return refuted(result.derivation, "saturation")
-            if result is not None:
-                proving = False
-                grounding = grounding and not isinstance(result, Saturated)
         if hunting:
             found = hunter.step(_CONFLICT_SLICE)
             if isinstance(found, Model):
                 return verdict("Satisfiable", found.interpretation, "models")
             if found is not None:
                 hunting = False
+        if proving:
+            if prover is None:
+                prover = Prover(clauses, time_left())
+            result = prover.step(_SELECTION_SLICE)
+            if isinstance(result, Refutation):
+                return refuted(result.derivation, "saturation")
+            if result is not None:
+                proving = False
+                grounding = grounding and not isinstance(result, Saturated)
         if grounding:
+            if grounder is None:
+                # of the equality axioms only reflexivity, which equality_axioms lists first
+                grounder = Grounder(clauses[: len(hunter.clauses) + 1], time_left())
             while grounder.solving or (
                 proving and grounder.enumerated <= _INSTANCES_PER_GENERATED * prover.generated
             ):
@@ -286,6 +316,84 @@ def decide_problem(
     return prove_conjecture(axioms, conjecture.formula, limits, max_size)
 
 
+def _refine(
+    units: list[NamedFormula], refutation: Derivation
+) -> tuple[list[NamedFormula], Derivation]:
+    """MUSer2's clause-set refinement: the units the refutation's Input steps cite.
+
+    clausify numbers Skolem symbols across the whole unit list, so the
+    refutation's function symbols are renamed to those of the cited
+    units clausified alone.  The units stay whole, with the refutation
+    as it is, when the renamed refutation fails check_derivation against
+    the cited units' clauses, as when a cited equality axiom names a
+    symbol that only an uncited unit brings in.
+    """
+    cited = {
+        label
+        for step in refutation.steps
+        if isinstance(step.rule, Input)
+        for label in step.clause.labels
+    }
+    kept = [a for a in units if a.label in cited]
+    if len(kept) == len(units):
+        return units, refutation
+    renamed = _rename_functions(
+        refutation, _function_names(units, kept), {a.label for a in units}
+    )
+    if not check_derivation(renamed, saturation_inputs(kept)):
+        return units, refutation
+    return kept, renamed
+
+
+def _function_names(units: list[NamedFormula], kept: list[NamedFormula]) -> dict[str, str]:
+    """Each function symbol in the kept units' clauses: its name among all units -> among kept."""
+    labels = {a.label for a in kept}
+    before = [c for c in clausify(units) if c.labels[0] in labels]
+    pairs = [
+        (s, t)
+        for b, a in zip(before, clausify(kept))
+        for k, l in zip(b.literals, a.literals)
+        for s, t in zip(k.args, l.args)
+    ]
+    names: dict[str, str] = {}
+    while pairs:
+        s, t = pairs.pop()
+        if isinstance(s, App):
+            names[s.op] = t.op
+            pairs.extend(zip(s.args, t.args))
+    return names
+
+
+def _rename_functions(d: Derivation, names: dict[str, str], units: set[str]) -> Derivation:
+    """d with its function symbols renamed, also in the labels of the equality axioms it cites.
+
+    units holds the labels of input units, which stay as they are.
+    """
+
+    def term(t: Term) -> Term:
+        return t if isinstance(t, Var) else App(names.get(t.op, t.op), tuple(map(term, t.args)))
+
+    def label(l: str) -> str:
+        symbol, _, position = l[3:].rpartition("_")
+        if l in units or not l.startswith("eq_") or symbol not in names:
+            return l
+        return f"eq_{names[symbol]}_{position}"
+
+    steps = []
+    for step in d.steps:
+        c = step.clause
+        labels = tuple(map(label, c.labels))
+        rule = step.rule
+        if isinstance(rule, Input):
+            if labels != c.labels:
+                rule = Input(",".join(labels))
+        else:
+            rule = replace(rule, mgu=Substitution({v: term(t) for v, t in rule.mgu.items()}))
+        literals = (Literal(l.positive, l.pred, map(term, l.args)) for l in c.literals)
+        steps.append(Step(step.id, Clause(literals, labels), rule))
+    return Derivation(steps)
+
+
 def extract_mus(
     axioms: list[NamedFormula],
     limits: Limits | None = None,
@@ -294,12 +402,16 @@ def extract_mus(
     """Shrink an unsatisfiable set to a certified core by deletion.
 
     Axioms are probed in input order; a deletion sticks when the rest
-    still refutes.  A probe's model certifies its axiom, since it also
-    satisfies every smaller core without that axiom.  A probe that ends
-    Unknown is asked again once the core is smaller than the set it
-    asked about.  limits.max_seconds is one deadline for the whole run,
-    each probe getting the time left, and a probe with no time left is
-    Unknown without running; max_clauses applies per probe.
+    still refutes.  After each refuting probe, the first one included,
+    the core also drops every axiom that no Input step of the refutation
+    cites (_refine), so those axioms are never probed; the refutation
+    kept always passes check_derivation against saturation_inputs(core).
+    A probe's model certifies its axiom, since it also satisfies every
+    smaller core without that axiom.  A probe that ends Unknown is asked
+    again once the core is smaller than the set it asked about.
+    limits.max_seconds is one deadline for the whole run, each probe
+    getting the time left, and a probe with no time left is Unknown
+    without running; max_clauses applies per probe.
     """
     limits = limits or Limits()
     deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
@@ -316,16 +428,18 @@ def extract_mus(
         raise PreconditionViolated(
             "input set was not refuted within the given limits"
         )
-    refutation = verdict.witness
+    core, refutation = _refine(core, verdict.witness)
     models: dict[str, Interpretation] = {}
     # uncertified label -> size of the set its last probe asked about (first: the input)
-    asked = {a.label: len(core) for a in core}
+    asked = {a.label: len(axioms) for a in core}
     while todo := [a for a in core if asked.get(a.label, 0) >= len(core)]:
         for axiom in todo:
+            if axiom not in core:
+                continue  # a refinement dropped it
             rest = [a for a in core if a is not axiom]
             verdict = probe(rest)
             if verdict.status == "Unsatisfiable":
-                core, refutation = rest, verdict.witness
+                core, refutation = _refine(rest, verdict.witness)
             elif verdict.status == "Satisfiable":
                 models[axiom.label] = verdict.witness
                 del asked[axiom.label]

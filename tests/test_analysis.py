@@ -9,7 +9,7 @@ from folkit import analysis, clausal, grounding, models, saturation
 from folkit.syntax import And, Atom, Forall, Implies, Not, Var
 from folkit.tptp import parse_tptp
 from folkit.models import Interpretation, evaluate
-from folkit.saturation import Derivation, Limits
+from folkit.saturation import Derivation, Limits, check_derivation, format_derivation
 from folkit.analysis import (
     DEFAULT_MAX_MODEL_SIZE,
     STATUSES,
@@ -163,6 +163,86 @@ def test_the_grounder_starts_a_level_only_within_its_share_of_the_work(monkeypat
     assert all(enumerated <= 8 * generated for enumerated, generated in starts)
     # some level waited for saturation to catch up
     assert any(e > 8 * g for (_, g), (e, _) in zip(starts, starts[1:]))
+
+
+def test_a_set_the_model_finder_satisfies_at_once_pays_for_no_saturation(
+    monkeypatch, hypotheses
+):
+    """The model finder takes each round's first turn, and the other engines are built at theirs."""
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an engine was built after the model finder answered")
+
+    monkeypatch.setattr(analysis, "Prover", unbuilt)
+    monkeypatch.setattr(analysis, "Grounder", unbuilt)
+    verdict = check_consistency([hypotheses["ax6"], hypotheses["ax7"]])
+    assert verdict.status == "Satisfiable"
+    assert verdict.stats.engine == "models"
+    assert verdict.stats.clauses_generated == 0
+    assert verdict.stats.domain_sizes_tried == [1]
+
+
+def test_a_prover_built_late_stops_at_the_decision_deadline(monkeypatch):
+    """Its time limit counts from the start of the decision, not from its own construction.
+
+    The engines read a clock that moves 6 s during the model finder's
+    first turn and 3 s during each saturation slice, and not otherwise.
+    The set has no model of size 1 and saturation never ends, so no
+    engine can answer under max_size=1.  Built at 6 s under a 10 s
+    limit, the prover runs its slices at 6 s and 9 s and finds the
+    clock past its deadline at 12 s.
+    """
+    now = [0.0]
+    for module in (analysis, saturation, models, grounding):
+        monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    provers, slices, turns = [], [], []
+    hunter_step = models.ModelSearch.step
+
+    def first_turn_takes_6_s(self, *args):
+        result = hunter_step(self, *args)
+        turns.append(result)
+        if len(turns) == 1:
+            now[0] += 6.0
+        return result
+
+    class Recording(analysis.Prover):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            provers.append(self)
+
+        def step(self, *args):
+            result = super().step(*args)
+            slices.append(result)
+            now[0] += 3.0
+            return result
+
+    monkeypatch.setattr(models.ModelSearch, "step", first_turn_takes_6_s)
+    monkeypatch.setattr(analysis, "Prover", Recording)
+    units = units_of(
+        "fof(start, axiom, p(a)).\n"
+        "fof(step, axiom, ![X] : (p(X) => p(f(X)))).\n"
+        "fof(two, axiom, a != b).\n"
+    )
+    verdict = check_consistency(units, limits=Limits(max_seconds=10.0), max_size=1)
+    assert verdict.status == "Unknown"
+    [prover] = provers
+    assert prover.deadline == 10.0
+    assert slices[:2] == [None, None]
+    assert slices[2].reason == "time-limit"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda units: check_consistency(units, Limits(max_seconds=0.0)),
+        lambda units: prove_conjecture(units[:-1], units[-1].formula, Limits(max_seconds=0.0)),
+    ],
+    ids=["check_consistency", "prove_conjecture"],
+)
+def test_a_decision_with_no_time_left_raises_no_error(run, all_twelve):
+    verdict = run(all_twelve)
+    assert verdict.status in ("Unknown", "Unsatisfiable", "Theorem")
+    assert verdict.stats.elapsed >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -329,6 +409,84 @@ def test_extract_mus_on_the_twelve_hypotheses(all_twelve):
         assert all(evaluate(model, f) for f in rest)
 
 
+def _recording_probes(monkeypatch) -> list[list[str]]:
+    probes = []
+    decide = analysis._decide
+
+    def recording(units, limits, max_size):
+        probes.append([u.label for u in units])
+        return decide(units, limits, max_size)
+
+    monkeypatch.setattr(analysis, "_decide", recording)
+    return probes
+
+
+def test_extract_mus_on_the_twelve_never_probes_the_axioms_its_refutations_do_not_cite(
+    monkeypatch, all_twelve
+):
+    """The first refutation cites ten labels, so the ax2 and ax3 deletions are never probed.
+
+    The report is the one the deletion pass makes without refinement.
+    """
+    probes = _recording_probes(monkeypatch)
+    report = extract_mus(all_twelve, limits=Limits(max_seconds=60.0))
+    assert len(probes) == 11
+    assert all("ax2" not in labels and "ax3" not in labels for labels in probes[1:])
+    assert format_mus_report(report) == (
+        "core: ax4 ax5 ax7 ax9 ax10 ax12\n"
+        "delete ax4: Satisfiable (domain size 2)\n"
+        "delete ax5: Satisfiable (domain size 2)\n"
+        "delete ax7: Satisfiable (domain size 2)\n"
+        "delete ax9: Satisfiable (domain size 2)\n"
+        "delete ax10: Satisfiable (domain size 1)\n"
+        "delete ax12: Satisfiable (domain size 2)\n"
+    )
+
+
+_SKOLEM_AFTER_AN_UNCITED_ONE = (
+    "fof(d, axiom, ?[X] : q(X)).\n"
+    "fof(e, axiom, a = b).\n"
+    "fof(s, axiom, ![X] : ?[Y] : r(X, Y)).\n"
+    "fof(n, axiom, ![Y, Z] : ((r(a, Y) & r(b, Z)) => Y != Z)).\n"
+)
+
+
+def test_a_refinement_renames_the_skolem_symbols_of_the_axioms_it_keeps(monkeypatch):
+    """Among all four, s's Skolem function is sk1; without d, which no step cites, it is sk0.
+
+    The first refutation cites the congruence axiom eq_sk1_1.  The kept
+    refutation must name sk0 and eq_sk0_1, or it would not check against
+    the core's own clauses.
+    """
+    probes = _recording_probes(monkeypatch)
+    units = units_of(_SKOLEM_AFTER_AN_UNCITED_ONE)
+    report = extract_mus(units)
+    assert probes == [["d", "e", "s", "n"], ["s", "n"], ["e", "n"], ["e", "s"]]
+    assert report.core == ["e", "s", "n"]
+    core = [u for u in units if u.label in report.core]
+    assert check_derivation(report.refutation, analysis.saturation_inputs(core))
+    proof = format_derivation(report.refutation)
+    assert "[input eq_sk0_1]" in proof and "sk1" not in proof
+
+
+def test_a_refinement_whose_refutation_fails_the_check_is_not_kept(monkeypatch):
+    """Without the renaming the refutation names sk1, so d stays and is probed."""
+    monkeypatch.setattr(analysis, "_function_names", lambda units, kept: {})
+    probes = _recording_probes(monkeypatch)
+    units = units_of(_SKOLEM_AFTER_AN_UNCITED_ONE)
+    report = extract_mus(units)
+    assert probes[:2] == [["d", "e", "s", "n"], ["e", "s", "n"]]
+    assert report.core == ["e", "s", "n"]
+    core = [u for u in units if u.label in report.core]
+    assert check_derivation(report.refutation, analysis.saturation_inputs(core))
+
+
+def test_extract_mus_with_no_time_runs_no_probe():
+    units = units_of("fof(p1, axiom, p).\nfof(p2, axiom, ~p).")
+    with pytest.raises(PreconditionViolated):
+        extract_mus(units, Limits(max_seconds=0.0))
+
+
 def test_mus7_is_a_third_minimal_core(hypotheses):
     """{ax4, ax5, ax6, ax7, ax9, ax11, ax12} is refuted and needs every member.
 
@@ -367,7 +525,7 @@ def test_extract_mus_gives_each_probe_the_time_left_of_one_deadline(monkeypatch)
     called = now[0]
     report = extract_mus(units, Limits(max_seconds=60.0))
     assert report.core == ["p1", "p2"]
-    assert len(probes) == 4
+    assert len(probes) == 3  # q1 is never cited, so refinement drops it unprobed
     for budget, at in probes:
         assert budget <= 60.0 - (at - called)
 
@@ -388,8 +546,8 @@ def test_extract_mus_runs_no_probe_once_the_deadline_has_passed(monkeypatch):
     units = units_of("fof(p1, axiom, p).\nfof(p2, axiom, ~p).\nfof(q1, axiom, q).")
     report = extract_mus(units, Limits(max_seconds=5.0))
     assert probes == [["p1", "p2", "q1"]]
-    assert report.core == ["p1", "p2", "q1"]
-    assert report.deletions == {"p1": None, "p2": None, "q1": None}
+    assert report.core == ["p1", "p2"]  # refinement drops q1, which the refutation does not cite
+    assert report.deletions == {"p1": None, "p2": None}
 
 
 def _five_distinct_and_at_most_four():
