@@ -168,7 +168,10 @@ def _decide(units: list[NamedFormula], limits: Limits, max_size: int) -> Verdict
     round, and the turn ends when a slice runs out or the next level
     must wait for saturation.  The prover and the grounder are built at
     their first turn, so a set the model finder satisfies in its first
-    slice never pays for saturation or grounding.  The grounder grounds
+    turn never pays for saturation or grounding.  A size refuted as its
+    clauses load does not end the model finder's turn (ModelSearch.step),
+    so the asylum sets whose smallest model has size 2 are satisfied in
+    the first turn too.  The grounder grounds
     reflexivity as the only equality axiom, and sits out when a clause
     has a positive equality literal.  A Saturated prover stops it,
     since the set then has no refutation.

@@ -317,6 +317,10 @@ class ModelSearch:
     step() runs a bounded number of solver conflicts and returns None
     while undecided, so callers can interleave model search with other
     work.  Verdicts are deterministic and come from the smallest size.
+    A size is grounded when the step that solves it begins, and a step
+    ends once a size has run into a solver conflict: a size decided
+    while its clauses load, as size 1 mostly is, leaves the whole
+    max_conflicts to the next one.
     When no clause has a positive equality literal, a model of size n
     gives one of size n+1: copy any element.  Each literal without
     equality keeps its truth value on the copy, and a negative equality
@@ -362,17 +366,19 @@ class ModelSearch:
         self.sizes_tried: list[int] = []
         self.done: ModelSearchResult | None = None
 
-    def _next_size(self) -> ModelSearchResult | None:
-        """Ground the next size for the solver; a result if the search ends."""
+    def _ended(self) -> ModelSearchResult | None:
+        """The search's result once no size is left to try."""
         if self.above is not None:
             if self.above.interpretation.size == self.floor + 1:
                 return self.above
-            return self._ground(self.floor + 1)
-        if self.floor >= self.max_size:
+        elif self.floor >= self.max_size:
             return NoModelUpTo(self.max_size)
-        if self.closed_upward:
-            return self._ground(min(max(1, 2 * self.floor), self.max_size))
-        return self._ground(self.floor + 1)
+        return None
+
+    def _next_size(self) -> int:
+        if self.above is None and self.closed_upward:
+            return min(max(1, 2 * self.floor), self.max_size)
+        return self.floor + 1
 
     def _ground(self, size: int) -> ModelSearchResult | None:
         if self.max_clauses is not None and sum(size**w for w in self.widths) > self.max_clauses:
@@ -395,28 +401,31 @@ class ModelSearch:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def step(self, max_conflicts: int = 2000) -> ModelSearchResult | None:
-        if self.done is None and self.solver is None and not self._out_of_time():
-            self.done = self._next_size()
-        if self.done is None and self._out_of_time():
-            self.done = ResourceOut("time-limit")
-        if self.done is not None:
-            return self.done
-        assert self.solver is not None
-        verdict = self.solver.solve(max_conflicts=max_conflicts)
-        if verdict is None:
-            return None
-        if verdict:
-            interp = decode(self.table, self.solver.assignment())
-            for unit in self.units:
-                if not evaluate(interp, unit.formula):
-                    raise RuntimeError(
-                        f"decoded size-{self.size} model fails unit {unit.label}"
-                    )
-            self.above = Model(interp)
-        else:
-            self.floor = self.size
-        self.solver = None
-        self.done = self._next_size()
+        while self.done is None:
+            if self.solver is None and not self._out_of_time():
+                self.done = self._ground(self._next_size())
+            if self.done is None and self._out_of_time():
+                self.done = ResourceOut("time-limit")
+            if self.done is not None:
+                break
+            verdict = self.solver.solve(max_conflicts=max_conflicts)
+            if verdict is None:
+                return None
+            if verdict:
+                interp = decode(self.table, self.solver.assignment())
+                for unit in self.units:
+                    if not evaluate(interp, unit.formula):
+                        raise RuntimeError(
+                            f"decoded size-{self.size} model fails unit {unit.label}"
+                        )
+                self.above = Model(interp)
+            else:
+                self.floor = self.size
+            conflicts = self.solver.conflicts
+            self.solver = None
+            self.done = self._ended()
+            if conflicts:
+                break
         return self.done
 
 

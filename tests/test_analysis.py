@@ -182,6 +182,24 @@ def test_a_set_the_model_finder_satisfies_at_once_pays_for_no_saturation(
     assert verdict.stats.domain_sizes_tried == [1]
 
 
+def test_a_set_whose_smallest_model_has_size_2_pays_for_no_saturation(
+    monkeypatch, hypotheses
+):
+    """Size 1 is refuted as its clauses load, so the model finder's first turn reaches size 2."""
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an engine was built after the model finder answered")
+
+    monkeypatch.setattr(analysis, "Prover", unbuilt)
+    monkeypatch.setattr(analysis, "Grounder", unbuilt)
+    units = [hypotheses[l] for l in ("ax4", "ax5", "ax6", "ax9", "ax12")]
+    verdict = check_consistency(units)
+    assert verdict.status == "Satisfiable"
+    assert verdict.witness.size == 2
+    assert verdict.stats.clauses_generated == 0
+    assert verdict.stats.domain_sizes_tried == [1, 2]
+
+
 def test_a_prover_built_late_stops_at_the_decision_deadline(monkeypatch):
     """Its time limit counts from the start of the decision, not from its own construction.
 

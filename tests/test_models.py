@@ -312,6 +312,17 @@ def test_model_search_can_be_interleaved(reduced_six):
     assert result == NoModelUpTo(4)
 
 
+def test_a_step_passes_over_a_size_refuted_as_its_clauses_load(hypotheses):
+    units = [hypotheses[l] for l in ("ax4", "ax5", "ax6", "ax9", "ax12")]
+    search = ModelSearch(units)
+    result = search.step()
+    assert isinstance(result, Model) and result.interpretation.size == 2
+    assert search.sizes_tried == [1, 2]
+    assert format_interpretation(result.interpretation) == format_interpretation(
+        find_model(units).interpretation
+    )
+
+
 def test_model_search_is_deterministic(hypotheses):
     units = [hypotheses[l] for l in ("ax4", "ax5", "ax8", "ax10", "ax12")]
     first = find_model(units, max_size=4)
